@@ -137,7 +137,7 @@ main(int argc, char **argv)
 
     const ServiceStats stats = service.stats();
     std::printf("\nshared service: %llu sessions, %llu jobs, "
-                "%.1f%% result-cache hit rate (caches fenced "
+                "%.1f%% dedupe hit rate (caches fenced "
                 "between methods so each pays its own budget; see "
                 "subset_explorer / bench_runtime_scaling for "
                 "cross-estimator dedupe)\n",
@@ -155,10 +155,10 @@ main(int argc, char **argv)
             telemetry::MetricsRegistry::instance().snapshot();
         std::printf(
             "\ntelemetry registry (%zu series): "
-            "%.0f result-cache hits, %.0f prep sims, "
+            "%.0f dedupe hits, %.0f prep sims, "
             "%.0f chunks executed\n",
             snap.metrics.size(),
-            snap.value("runtime.result_cache.hits"),
+            snap.value("runtime.ledger.dedupe_hits"),
             snap.value("sim.engine.prep_simulations"),
             snap.value("service.scheduler.chunks_executed"));
         if (!telemetry::metricsOutPath().empty())

@@ -6,6 +6,7 @@
 
 #include "sim/sim_engine.hh"
 #include "telemetry/metrics.hh"
+#include "telemetry/profiler.hh"
 #include "telemetry/trace.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
@@ -48,7 +49,6 @@ latencyClassName(LatencyClass latency_class)
 
 BatchExecutor::BatchExecutor(Executor &backend, RuntimeConfig config)
     : backend_(backend), config_(config),
-      cache_(config.cacheMaxEntries),
       ledger_(config.cacheMaxEntries)
 {
     if (config_.threads < 1)
@@ -82,6 +82,13 @@ groupByPrepKey(const std::vector<PrepKey> &keys)
     return groups;
 }
 
+namespace {
+
+/**
+ * Grouping keys for the prefix-aware scheduler: one PrepKey per job
+ * of @p jobs, memoizing the prep structural hash per distinct
+ * shared prep circuit.
+ */
 std::vector<PrepKey>
 prepKeysOf(const std::vector<CircuitJob> &jobs)
 {
@@ -109,72 +116,19 @@ prepKeysOf(const std::vector<CircuitJob> &jobs)
     return keys;
 }
 
-std::future<Pmf>
-BatchExecutor::submitOne(
-    const CircuitJob &job,
-    const std::shared_ptr<const std::vector<CircuitJob>> &owned,
-    std::vector<PendingTask> *pending, const PrepKey &prep_key)
-{
-    const JobKey key = makeJobKey(job);
-    nextJobIndex_.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry::metricsEnabled()) {
-        auto &m = BatchMetrics::get();
-        m.jobsSubmitted.add();
-        if (config_.threads <= 1)
-            m.inlineJobs.add();
-    }
-    if (telemetry::tracingEnabled())
-        telemetry::SpanTracer::instance().instant("enqueue",
-                                                  jobStream(key));
-
-    // Cache mode: the ledger decides — in submission order —
-    // whether this submission is the key's primary (the one that
-    // executes) or a duplicate deferred onto the primary's result.
-    // Duplicates never execute, so backend cost counters and hit
-    // statistics are exact and independent of worker timing.
-    std::shared_ptr<std::promise<Pmf>> publish;
-    if (config_.cacheResults) {
-        auto claim = ledger_.claim(key, job.shots, cache_);
-        if (claim.duplicate())
-            return JobLedger::deferToPrimary(std::move(claim));
-        publish = std::move(claim.publish);
-    }
-    ResultCache *cache =
-        config_.cacheResults ? &cache_ : nullptr;
-
-    if (config_.threads <= 1) {
-        // Inline: execute on the submitting thread, no job copy. A
-        // failed execution (StatusError: quarantine, retries
-        // exhausted, invalid job) fails THIS job's future and
-        // nothing else — the submitting loop continues.
-        std::promise<Pmf> done;
-        try {
-            done.set_value(ledger_.executeAndPublish(
-                backend_, job, key, cache, publish));
-        } catch (...) {
-            done.set_exception(std::current_exception());
-        }
-        return done.get_future();
-    }
-
-    ensurePool();
-    // Pooled tasks reference the job through shared batch storage
-    // (one copy per submit(), not per task), so futures stay valid
-    // even if the caller drops the Batch before they resolve.
-    const CircuitJob *job_ptr = &job;
-    auto task = std::make_shared<std::packaged_task<Pmf()>>(
-        [this, owned, job_ptr, key, cache, publish] {
-            return ledger_.executeAndPublish(backend_, *job_ptr,
-                                             key, cache, publish);
-        });
-    std::future<Pmf> future = task->get_future();
-    if (pending)
-        pending->push_back({prep_key, [task] { (*task)(); }});
-    else
-        pool_->enqueue([task] { (*task)(); });
-    return future;
-}
-
+/**
+ * Prefix-aware placement: partition indices [0, keys.size()) of
+ * submission-ordered jobs tagged by @p keys into sequential chunks.
+ * With at least @p threads prep groups, one chunk per group — a
+ * prep's jobs stay on one worker, its first job populates the
+ * SimEngine's state cache and the rest hit it without contending
+ * with other threads. With fewer groups, each is split into enough
+ * contiguous chunks to keep every worker busy (the engine tolerates
+ * the resulting cross-thread sharing via its shared futures and
+ * still prepares each key exactly once). Chunk composition is a
+ * pure function of (keys, threads); purely a placement policy —
+ * results and streams are assigned at submission and cannot change.
+ */
 std::vector<std::vector<std::size_t>>
 prefixScheduleIndexChunks(const std::vector<PrepKey> &keys,
                           std::size_t threads)
@@ -204,82 +158,147 @@ prefixScheduleIndexChunks(const std::vector<PrepKey> &keys,
     return chunks;
 }
 
-std::vector<std::vector<std::function<void()>>>
-prefixScheduleChunks(const std::vector<PrepKey> &keys,
-                     std::vector<std::function<void()>> tasks,
-                     std::size_t threads)
+/**
+ * Trace and (cache on) claim one submission. Returns false for a
+ * duplicate, whose deferred future is appended to @p futures; true
+ * for a job this submission must execute, with its ledger claim (if
+ * any) in @p publish.
+ */
+bool
+claimOne(const Admitter &who, const CircuitJob &job, const JobKey &key,
+         std::shared_ptr<std::promise<Pmf>> &publish,
+         std::vector<std::future<Pmf>> &futures, AdmissionTally &tally)
 {
-    std::vector<std::vector<std::function<void()>>> chunks;
-    for (const auto &indices :
-         prefixScheduleIndexChunks(keys, threads)) {
-        chunks.emplace_back();
-        chunks.back().reserve(indices.size());
-        for (std::size_t i : indices)
-            chunks.back().push_back(std::move(tasks[i]));
+    if (telemetry::tracingEnabled())
+        telemetry::SpanTracer::instance().instant(
+            "enqueue", jobStream(key), who.traceDetail);
+    if (!who.cacheResults)
+        return true;
+    std::uint64_t primary_owner = 0;
+    JobLedger::Claim claim = [&] {
+        telemetry::ScopedPhase phase(telemetry::Phase::LedgerLookup);
+        return who.ledger.claim(key, job.shots, who.owner,
+                                &primary_owner);
+    }();
+    if (claim.duplicate()) {
+        ++tally.hits;
+        tally.shotsSaved += job.shots;
+        if (primary_owner != who.owner)
+            ++tally.crossHits;
+        futures.push_back(JobLedger::deferToPrimary(std::move(claim)));
+        return false;
     }
-    return chunks;
+    ++tally.misses;
+    publish = std::move(claim.publish);
+    return true;
+}
+
+} // namespace
+
+void
+PrimaryJob::run() const
+{
+    try {
+        done->set_value(ledger->executeAndPublish(
+            *backend, (*jobs)[index], key, publish));
+    } catch (...) {
+        done->set_exception(std::current_exception());
+    }
 }
 
 void
-BatchExecutor::schedulePending(std::vector<PendingTask> pending)
+PrimaryJob::shed(const Status &status) const
 {
-    if (pending.empty())
-        return;
-    if (!config_.prefixAwareScheduling) {
-        for (auto &p : pending)
-            pool_->enqueue(std::move(p.run));
-        return;
-    }
+    if (publish)
+        ledger->abandon(key, publish, status);
+    done->set_exception(std::make_exception_ptr(StatusError(status)));
+}
 
-    std::vector<PrepKey> keys;
-    std::vector<std::function<void()>> tasks;
-    keys.reserve(pending.size());
-    tasks.reserve(pending.size());
-    for (auto &p : pending) {
-        keys.push_back(p.prepKey);
-        tasks.push_back(std::move(p.run));
+AdmittedBatch
+admitChunked(const Admitter &who, const Batch &batch,
+             std::size_t threads)
+{
+    AdmittedBatch admitted;
+    admitted.futures.reserve(batch.size());
+    auto jobs = std::make_shared<const std::vector<CircuitJob>>(
+        batch.jobs());
+    const std::vector<PrepKey> prep_keys = prepKeysOf(*jobs);
+    std::vector<PrimaryJob> primaries;
+    std::vector<PrepKey> primary_keys;
+    for (std::size_t i = 0; i < jobs->size(); ++i) {
+        const JobKey key = makeJobKey((*jobs)[i]);
+        std::shared_ptr<std::promise<Pmf>> publish;
+        if (!claimOne(who, (*jobs)[i], key, publish, admitted.futures,
+                      admitted.tally))
+            continue;
+        // An explicit promise rather than a packaged_task, so the
+        // shed path can fail the future without running the job.
+        auto done = std::make_shared<std::promise<Pmf>>();
+        admitted.futures.push_back(done->get_future());
+        primaries.push_back({&who.ledger, &who.backend, jobs, i, key,
+                             std::move(publish), std::move(done)});
+        primary_keys.push_back(prep_keys[i]);
     }
-    for (auto &chunk : prefixScheduleChunks(
-             keys, std::move(tasks),
-             static_cast<std::size_t>(config_.threads))) {
-        auto shared = std::make_shared<
-            std::vector<std::function<void()>>>(std::move(chunk));
-        pool_->enqueue([shared] {
-            for (auto &run : *shared)
-                run();
-        });
+    for (const auto &indices :
+         prefixScheduleIndexChunks(primary_keys, threads)) {
+        auto &chunk = admitted.chunks.emplace_back();
+        chunk.reserve(indices.size());
+        for (std::size_t i : indices)
+            chunk.push_back(std::move(primaries[i]));
     }
+    return admitted;
+}
+
+std::vector<std::future<Pmf>>
+admitInline(const Admitter &who, const Batch &batch)
+{
+    std::vector<std::future<Pmf>> futures;
+    futures.reserve(batch.size());
+    AdmissionTally tally;
+    for (const CircuitJob &job : batch.jobs()) {
+        const JobKey key = makeJobKey(job);
+        std::shared_ptr<std::promise<Pmf>> publish;
+        if (!claimOne(who, job, key, publish, futures, tally))
+            continue;
+        std::promise<Pmf> done;
+        try {
+            done.set_value(who.ledger.executeAndPublish(
+                who.backend, job, key, publish));
+        } catch (...) {
+            done.set_exception(std::current_exception());
+        }
+        futures.push_back(done.get_future());
+    }
+    return futures;
 }
 
 std::vector<std::future<Pmf>>
 BatchExecutor::submit(const Batch &batch)
 {
-    std::vector<std::future<Pmf>> futures;
-    futures.reserve(batch.size());
-    if (telemetry::metricsEnabled())
-        BatchMetrics::get().batchesSubmitted.add();
-    if (config_.threads <= 1) {
-        // Inline execution completes before submit() returns; no
-        // shared copy of the batch is needed.
-        for (const CircuitJob &job : batch.jobs())
-            futures.push_back(
-                submitOne(job, nullptr, nullptr, PrepKey{}));
-        return futures;
+    nextJobIndex_.fetch_add(batch.size(), std::memory_order_relaxed);
+    if (telemetry::metricsEnabled()) {
+        auto &m = BatchMetrics::get();
+        m.batchesSubmitted.add();
+        m.jobsSubmitted.add(batch.size());
+        if (config_.threads <= 1)
+            m.inlineJobs.add(batch.size());
     }
-    auto owned = std::make_shared<const std::vector<CircuitJob>>(
-        batch.jobs());
-    std::vector<PendingTask> pending;
-    pending.reserve(owned->size());
-    std::vector<PrepKey> prep_keys;
-    if (config_.prefixAwareScheduling)
-        prep_keys = prepKeysOf(*owned);
-    for (std::size_t i = 0; i < owned->size(); ++i)
-        futures.push_back(submitOne(
-            (*owned)[i], owned, &pending,
-            config_.prefixAwareScheduling ? prep_keys[i]
-                                          : PrepKey{}));
-    schedulePending(std::move(pending));
-    return futures;
+    const Admitter who{ledger_, backend_, config_.cacheResults};
+    if (config_.threads <= 1)
+        return admitInline(who, batch);
+
+    ensurePool();
+    AdmittedBatch admitted = admitChunked(
+        who, batch, static_cast<std::size_t>(config_.threads));
+    for (auto &chunk : admitted.chunks) {
+        auto shared = std::make_shared<const std::vector<PrimaryJob>>(
+            std::move(chunk));
+        pool_->enqueue([shared] {
+            for (const PrimaryJob &p : *shared)
+                p.run();
+        });
+    }
+    return std::move(admitted.futures);
 }
 
 } // namespace varsaw

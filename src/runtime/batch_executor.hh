@@ -4,10 +4,12 @@
  *
  * BatchExecutor sits between the estimators and an Executor
  * backend: estimators describe a tick's worth of circuits as a
- * Batch; the runtime runs the jobs across a fixed thread pool,
- * answers repeats from the ResultCache, and returns results in
+ * Batch; the runtime runs the jobs inline or across a fixed thread
+ * pool, answers repeats from its JobLedger, and returns results in
  * submission order (futures for async consumers, a plain vector for
- * the common blocking case).
+ * the common blocking case). Per-job admission — ledger claim,
+ * duplicate deferral, prefix placement — is the admitInline /
+ * admitChunked core this runtime shares with the service sessions.
  *
  * Determinism: every job samples from an RNG stream derived purely
  * from its content key — jobStream(makeJobKey(job)) — so a given
@@ -28,7 +30,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -36,7 +37,6 @@
 
 #include "mitigation/executor.hh"
 #include "runtime/job_ledger.hh"
-#include "runtime/result_cache.hh"
 #include "runtime/submitter.hh"
 #include "runtime/thread_pool.hh"
 #include "sim/state_cache.hh"
@@ -72,33 +72,18 @@ struct RuntimeConfig
      */
     int threads = 1;
 
-    /** Dedupe identical submissions through the result cache.
-     * Honored per session under a shared service too: a cache-off
-     * session bypasses the shared ledger entirely. */
+    /** Dedupe identical submissions through the ledger. Honored
+     * per session under a shared service too: a cache-off session
+     * bypasses the shared ledger entirely. */
     bool cacheResults = false;
 
     /**
-     * Tracked-key cap of the dedupe ledger / result cache. Ignored
-     * under a shared service — the cap of the SHARED ledger is
+     * Tracked-key cap of the dedupe ledger. Ignored under a shared
+     * service — the cap of the SHARED ledger is
      * ServiceConfig::cacheMaxEntries, fixed when the service is
      * built.
      */
     std::size_t cacheMaxEntries = 1 << 16;
-
-    /**
-     * Prefix-aware scheduling (threads > 1): jobs of one batch that
-     * share a prep key are grouped so that, when there are at least
-     * as many distinct preps as workers, each prep's jobs run on
-     * one worker — its first job populates the SimEngine's state
-     * cache and the rest hit it without ever contending with other
-     * threads. With fewer preps than workers the groups are split
-     * into contiguous chunks to keep every worker busy (the engine
-     * tolerates the resulting cross-thread sharing; its cache
-     * guarantees exactly one preparation per key either way).
-     * Purely a placement policy — results and streams are assigned
-     * at submission and cannot change.
-     */
-    bool prefixAwareScheduling = true;
 
     /**
      * Intra-kernel threads to apply at runtime construction via
@@ -144,44 +129,96 @@ struct RuntimeConfig
 std::vector<std::vector<std::size_t>>
 groupByPrepKey(const std::vector<PrepKey> &keys);
 
-/**
- * Grouping keys for the prefix-aware scheduler: one PrepKey per job
- * of @p jobs, memoizing the prep structural hash per distinct
- * shared prep circuit. Shared by BatchExecutor and the service
- * sessions.
- */
-std::vector<PrepKey>
-prepKeysOf(const std::vector<CircuitJob> &jobs);
+/** The submitter a batch is admitted for (see admitChunked). */
+struct Admitter
+{
+    JobLedger &ledger;
+    Executor &backend;
+    /** Claim through the ledger (dedupe); off = every job executes. */
+    bool cacheResults;
+    /** Claim tag: service session id; 0 for a private runtime. */
+    std::uint64_t owner = 0;
+    /** Detail of the per-job "enqueue" trace events (or null). */
+    const char *traceDetail = nullptr;
+};
 
 /**
- * Prefix-aware placement: partition @p tasks (submission-ordered,
- * tagged by @p keys) into sequential chunks. With at least
- * @p threads prep groups, one chunk per group — a prep's jobs stay
- * on one worker and its cached state is never shared across
- * threads. With fewer groups, each is split into enough contiguous
- * chunks to keep every worker busy (the engine tolerates the
- * resulting cross-thread sharing via its shared futures). Chunk
- * composition is a pure function of (keys, threads); purely a
- * placement policy — results and streams are assigned at
- * submission and cannot change.
+ * A claimed primary submission awaiting execution: everything a
+ * worker needs to run it, and everything the service's shed path
+ * needs to fail it without running it.
  */
-std::vector<std::vector<std::function<void()>>>
-prefixScheduleChunks(const std::vector<PrepKey> &keys,
-                     std::vector<std::function<void()>> tasks,
-                     std::size_t threads);
+struct PrimaryJob
+{
+    JobLedger *ledger;
+    Executor *backend;
+    /** Shared batch storage (one copy per submit, not per job), so
+     * futures stay valid even if the caller drops the Batch. */
+    std::shared_ptr<const std::vector<CircuitJob>> jobs;
+    std::size_t index;
+    JobKey key;
+    /** The ledger claim (null when the submitter's cache is off). */
+    std::shared_ptr<std::promise<Pmf>> publish;
+    /** Resolves the caller's future. */
+    std::shared_ptr<std::promise<Pmf>> done;
+
+    /** Execute via JobLedger::executeAndPublish. A failure
+     * (StatusError: quarantine, retries exhausted, invalid job)
+     * fails this job's future and nothing else. */
+    void run() const;
+
+    /** Fail without executing (admission shed): abandon the ledger
+     * claim, so duplicates deferred onto it fail too instead of
+     * hanging, and fail the future with @p status. */
+    void shed(const Status &status) const;
+};
+
+/** Dedupe tallies of one admitted batch. */
+struct AdmissionTally
+{
+    std::uint64_t hits = 0;       //!< duplicates deferred to a primary
+    std::uint64_t crossHits = 0;  //!< ... whose primary's owner differs
+    std::uint64_t misses = 0;     //!< primaries claimed
+    std::uint64_t shotsSaved = 0; //!< shots of the duplicates
+};
+
+/** Outcome of admitChunked. */
+struct AdmittedBatch
+{
+    /** Aligned with the batch's job indices. */
+    std::vector<std::future<Pmf>> futures;
+    /** Primaries to execute, prefix-placed into sequential chunks. */
+    std::vector<std::vector<PrimaryJob>> chunks;
+    AdmissionTally tally;
+};
 
 /**
- * Index form of prefixScheduleChunks: the same pure chunking
- * decision, returned as indices into @p keys instead of moved task
- * closures. Callers that must keep per-job metadata alongside each
- * chunk (the service's shed/abandon path needs the jobs' ledger
- * claims and result promises) chunk by index and look the metadata
- * up themselves. prefixScheduleChunks is implemented on top of
- * this, so the two can never disagree.
+ * The per-job admission core of every submitter (BatchExecutor and
+ * the service sessions), in submission order: job key, "enqueue"
+ * trace event, and — with the cache on — a ledger claim. The
+ * ledger decides whether a submission is its key's primary (the one
+ * that executes) or a duplicate deferred onto the primary's future
+ * (JobLedger::deferToPrimary). Duplicates never execute, so backend
+ * cost counters and hit statistics are exact and independent of
+ * worker timing; content-derived streams make WHO wins a claim
+ * change bookkeeping only, never a result.
+ *
+ * The primaries come back prefix-placed for @p threads workers: with
+ * at least @p threads prep groups (groupByPrepKey), one chunk per
+ * group, so a prep's jobs stay on one worker; with fewer, each group
+ * is split into contiguous chunks to keep every worker busy. The
+ * caller dispatches each chunk as one sequential task.
  */
-std::vector<std::vector<std::size_t>>
-prefixScheduleIndexChunks(const std::vector<PrepKey> &keys,
-                          std::size_t threads);
+AdmittedBatch admitChunked(const Admitter &who, const Batch &batch,
+                           std::size_t threads);
+
+/**
+ * Inline form of admitChunked: each primary executes on the calling
+ * thread right after its claim, in submission order, and the batch
+ * is never copied. Every returned future is ready except the
+ * duplicates', which defer onto already-resolved primaries.
+ */
+std::vector<std::future<Pmf>> admitInline(const Admitter &who,
+                                          const Batch &batch);
 
 /** Batched front-end over an Executor backend. */
 class BatchExecutor : public JobSubmitter
@@ -198,7 +235,8 @@ class BatchExecutor : public JobSubmitter
     /**
      * Submit every job of @p batch; the returned futures are
      * aligned with the batch's job indices. With threads == 1 the
-     * jobs run inline before this returns.
+     * jobs run inline before this returns (admitInline); otherwise
+     * each admitChunked chunk is one pool task.
      */
     std::vector<std::future<Pmf>> submit(const Batch &batch) override;
 
@@ -209,12 +247,8 @@ class BatchExecutor : public JobSubmitter
     /** Runtime configuration in use. */
     const RuntimeConfig &config() const { return config_; }
 
-    /** The result cache (hit/miss statistics). */
-    const ResultCache &cache() const { return cache_; }
-    ResultCache &cache() { return cache_; }
-
-    /** Shorthand for cache().stats(). */
-    CacheStats cacheStats() const override { return cache_.stats(); }
+    /** The dedupe ledger's statistics. */
+    CacheStats cacheStats() const override { return ledger_.stats(); }
 
     /** Jobs submitted through this runtime since construction. */
     std::uint64_t jobsSubmitted() const override
@@ -223,39 +257,13 @@ class BatchExecutor : public JobSubmitter
     }
 
   private:
-    /** A pooled task not yet enqueued, tagged for prep grouping. */
-    struct PendingTask
-    {
-        PrepKey prepKey;
-        std::function<void()> run;
-    };
-
-    /**
-     * Submit one job. @p owned shares ownership of the job's
-     * storage with the task closures (null on the inline path,
-     * where execution finishes before this returns). When
-     * @p pending is non-null, pooled tasks are collected there for
-     * prefix-aware placement instead of being enqueued directly,
-     * tagged with @p prep_key.
-     */
-    std::future<Pmf>
-    submitOne(const CircuitJob &job,
-              const std::shared_ptr<const std::vector<CircuitJob>>
-                  &owned,
-              std::vector<PendingTask> *pending,
-              const PrepKey &prep_key);
-
-    /** Enqueue collected tasks, grouping same-prep jobs together. */
-    void schedulePending(std::vector<PendingTask> pending);
-
     /** Create the worker pool on first parallel use. */
     void ensurePool();
 
     Executor &backend_;
     RuntimeConfig config_;
-    ResultCache cache_;
     /**
-     * Cache mode only: submission-order dedupe + LRU over cache_.
+     * Cache mode: submission-order dedupe, result store and LRU.
      * Exactly one backend execution happens per tracked key
      * regardless of thread timing; duplicates wait on the primary's
      * future. Eviction past cacheMaxEntries removes the
@@ -269,8 +277,8 @@ class BatchExecutor : public JobSubmitter
     std::atomic<std::uint64_t> nextJobIndex_{0};
     /**
      * Declared last on purpose: ~ThreadPool drains and joins the
-     * workers first, so no in-flight task can touch the cache,
-     * ledger, or mutexes after they are destroyed.
+     * workers first, so no in-flight task can touch the ledger or
+     * mutexes after they are destroyed.
      */
     std::unique_ptr<ThreadPool> pool_; //!< created on first submit
 };

@@ -12,7 +12,8 @@ namespace varsaw {
 namespace {
 
 /**
- * Dedupe-ledger mirror under `runtime.ledger.*` plus the per-job
+ * Ledger accounting mirror under `runtime.ledger.*` (one counter per
+ * CacheStats event, aggregated across every ledger) plus the per-job
  * execution latency histogram. Trace events correlate stages of one
  * job by jobStream(key) — a pure content function, so the same
  * submission carries the same id across runs and sessions.
@@ -21,7 +22,9 @@ struct LedgerMetrics
 {
     telemetry::Counter &dedupeHits;
     telemetry::Counter &claims;
+    telemetry::Counter &insertions;
     telemetry::Counter &evictions;
+    telemetry::Counter &shotsSaved;
     telemetry::Counter &quarantined;
     telemetry::Histogram &jobLatencyNs;
 
@@ -32,7 +35,9 @@ struct LedgerMetrics
         static LedgerMetrics *m = new LedgerMetrics{
             reg.counter("runtime.ledger.dedupe_hits"),
             reg.counter("runtime.ledger.claims"),
+            reg.counter("runtime.ledger.insertions"),
             reg.counter("runtime.ledger.evictions"),
+            reg.counter("runtime.ledger.shots_saved"),
             reg.counter("service.quarantined"),
             reg.histogram("runtime.job_latency_ns"),
         };
@@ -51,17 +56,19 @@ JobLedger::JobLedger(std::size_t max_entries)
 
 JobLedger::Claim
 JobLedger::claim(const JobKey &key, std::uint64_t shots,
-                 ResultCache &cache, std::uint64_t owner,
-                 std::uint64_t *primary_owner)
+                 std::uint64_t owner, std::uint64_t *primary_owner)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = entries_.find(key);
     if (it != entries_.end()) {
         lru_.splice(lru_.begin(), lru_, it->second.lruIt);
-        cache.creditHit(shots);
-        ++stats_.dedupeHits;
-        if (telemetry::metricsEnabled())
-            LedgerMetrics::get().dedupeHits.add();
+        ++stats_.hits;
+        stats_.shotsSaved += shots;
+        if (telemetry::metricsEnabled()) {
+            auto &m = LedgerMetrics::get();
+            m.dedupeHits.add();
+            m.shotsSaved.add(shots);
+        }
         if (telemetry::tracingEnabled())
             telemetry::SpanTracer::instance().instant(
                 "dedupe-hit", jobStream(key));
@@ -74,23 +81,15 @@ JobLedger::claim(const JobKey &key, std::uint64_t shots,
     // tracked set never exceeds the cap; both the eviction point and
     // the victim depend only on the claimed key sequence. An evicted
     // in-flight primary keeps running — its waiters hold shared
-    // futures — but its result is no longer stored.
-    while (entries_.size() >= maxEntries_) {
-        const JobKey victim = lru_.back();
-        lru_.pop_back();
-        entries_.erase(victim);
-        cache.erase(victim);
-        ++stats_.evictions;
-        if (telemetry::metricsEnabled())
-            LedgerMetrics::get().evictions.add();
-    }
+    // futures — but its result never becomes resident.
+    while (entries_.size() >= maxEntries_)
+        eraseLocked(entries_.find(lru_.back()));
     auto publish = std::make_shared<std::promise<Pmf>>();
-    Entry entry{publish->get_future().share(), owner, {}};
+    Entry entry{publish->get_future().share(), owner, false, {}};
     lru_.push_front(key);
     entry.lruIt = lru_.begin();
     entries_.emplace(key, std::move(entry));
-    cache.creditMiss();
-    ++stats_.claims;
+    ++stats_.misses;
     if (telemetry::metricsEnabled())
         LedgerMetrics::get().claims.add();
     if (telemetry::tracingEnabled())
@@ -100,13 +99,22 @@ JobLedger::claim(const JobKey &key, std::uint64_t shots,
 }
 
 void
-JobLedger::store(const JobKey &key, const Pmf &result,
-                 ResultCache &cache)
+JobLedger::store(const JobKey &key,
+                 const std::shared_ptr<std::promise<Pmf>> &publish,
+                 const Pmf &result)
 {
+    publish->set_value(result);
     std::lock_guard<std::mutex> lock(mutex_);
-    if (entries_.find(key) == entries_.end())
-        return; // evicted while in flight; waiters use the future
-    cache.insert(key, result);
+    auto it = entries_.find(key);
+    // Evicted while in flight: waiters use the future, nothing is
+    // resident. Already stored: a stale primary of a re-claimed key
+    // published the same content first.
+    if (it == entries_.end() || it->second.stored)
+        return;
+    it->second.stored = true;
+    ++stats_.insertions;
+    if (telemetry::metricsEnabled())
+        LedgerMetrics::get().insertions.add();
 }
 
 std::future<Pmf>
@@ -121,7 +129,6 @@ JobLedger::deferToPrimary(Claim claim)
 Pmf
 JobLedger::executeAndPublish(
     Executor &backend, const CircuitJob &job, const JobKey &key,
-    ResultCache *cache,
     const std::shared_ptr<std::promise<Pmf>> &publish)
 {
     // Quarantine fast path: a poisoned key never reaches the
@@ -148,9 +155,9 @@ JobLedger::executeAndPublish(
         backend.tryExecuteJob(job.view(), jobStream(key));
     if (!result.ok()) {
         // Poison job: retries exhausted (or permanently invalid).
-        // Quarantine the key, retract its entry — shared-cache
-        // state stays untouched — and fail the primary's future so
-        // waiting duplicates see the same typed error.
+        // Quarantine the key, retract its entry and fail the
+        // primary's future so waiting duplicates see the same typed
+        // error.
         {
             std::lock_guard<std::mutex> lock(mutex_);
             if (quarantine_.insert(key).second)
@@ -172,10 +179,8 @@ JobLedger::executeAndPublish(
     }
     if (telemetry::metricsEnabled() && span.armed())
         LedgerMetrics::get().jobLatencyNs.record(span.elapsedNs());
-    if (cache)
-        store(key, *result, *cache);
     if (publish)
-        publish->set_value(*result);
+        store(key, publish, *result);
     if (telemetry::tracingEnabled())
         telemetry::SpanTracer::instance().instant(
             "complete", jobStream(key));
@@ -218,7 +223,7 @@ JobLedger::clearQuarantine()
     quarantine_.clear();
 }
 
-JobLedgerStats
+CacheStats
 JobLedger::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -226,22 +231,39 @@ JobLedger::stats() const
 }
 
 void
-JobLedger::dropEntryLocked(const JobKey &key)
+JobLedger::eraseLocked(
+    std::unordered_map<JobKey, Entry, JobKeyHasher>::iterator it)
 {
-    auto it = entries_.find(key);
-    if (it == entries_.end())
-        return;
+    if (it->second.stored) {
+        ++stats_.evictions;
+        if (telemetry::metricsEnabled())
+            LedgerMetrics::get().evictions.add();
+    }
     lru_.erase(it->second.lruIt);
     entries_.erase(it);
 }
 
 void
-JobLedger::clear(ResultCache &cache)
+JobLedger::dropEntryLocked(const JobKey &key)
+{
+    auto it = entries_.find(key);
+    if (it != entries_.end())
+        eraseLocked(it);
+}
+
+void
+JobLedger::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    // Every resident result is dropped: insertions - evictions is
+    // exactly their count.
+    const std::uint64_t dropped =
+        stats_.insertions - stats_.evictions;
+    stats_.evictions += dropped;
+    if (telemetry::metricsEnabled() && dropped > 0)
+        LedgerMetrics::get().evictions.add(dropped);
     entries_.clear();
     lru_.clear();
-    cache.clear();
 }
 
 std::size_t

@@ -1,27 +1,31 @@
 /**
  * @file
- * Submission-order-deterministic dedupe ledger over a ResultCache.
+ * Submission-order-deterministic dedupe ledger: the runtime's one
+ * content-addressed result store.
  *
- * The integrated cache path shared by BatchExecutor and the
- * ExecutionService sessions: each submitted job key is claimed here
- * BEFORE execution, in submission order, under one lock. The first
- * claim of a key becomes its **primary** (the submission that
- * executes and publishes); every later claim while the key is
- * tracked is a **duplicate** answered from the primary's shared
- * future. Tracked keys form an LRU list maintained at claim time —
- * a point that depends only on the submitted key sequence, never on
- * worker timing — so when the ledger reaches its entry cap it
- * evicts exactly the least-recently-claimed key instead of bulk
- * clearing everything: hot keys (a VQA loop's per-iteration
+ * The runtime analogue of VarSaw's spatial redundancy elimination:
+ * identical (circuit, params, shots) submissions — within a batch,
+ * across estimator ticks, or across service sessions — execute once.
+ * Each submitted job key is claimed here BEFORE execution, in
+ * submission order, under one lock. The first claim of a key becomes
+ * its **primary** (the submission that executes and publishes);
+ * every later claim while the key is tracked is a **duplicate**
+ * answered from the primary's shared future. That future IS the
+ * cached result: once the primary publishes, the entry holds the one
+ * resident copy of the Pmf. Tracked keys form an LRU list maintained
+ * at claim time — a point that depends only on the submitted key
+ * sequence, never on worker timing — so when the ledger reaches its
+ * entry cap it evicts exactly the least-recently-claimed key instead
+ * of bulk clearing everything: hot keys (a VQA loop's per-iteration
  * working set) survive the boundary, and which keys are resident is
  * reproducible across thread counts for a given submission
  * sequence.
  *
  * Because sampling streams are content-derived (see jobStream), an
  * evicted key's re-execution reproduces the evicted result bit for
- * bit; eviction therefore trades only work, never results. The old
- * epoch counter that guarded cross-clear races is gone with the
- * bulk clear that needed it.
+ * bit; eviction therefore trades only work, never results. On a
+ * workload with no duplicate submissions every claim is a miss and
+ * results are bit-identical to cache-off.
  */
 
 #ifndef VARSAW_RUNTIME_JOB_LEDGER_HH
@@ -35,7 +39,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "runtime/result_cache.hh"
+#include "sim/circuit_hash.hh"
 #include "sim/job.hh"
 #include "util/pmf.hh"
 #include "util/status.hh"
@@ -44,17 +48,30 @@ namespace varsaw {
 
 class Executor;
 
-/** Ledger bookkeeping counters (see JobLedger::stats()). */
-struct JobLedgerStats
+/**
+ * Dedupe and result-store accounting, counted once, by the ledger
+ * (see JobLedger::stats()).
+ */
+struct CacheStats
 {
-    /** Primary claims admitted (one per executed key). */
-    std::uint64_t claims = 0;
+    /** Duplicate claims answered from a primary's future (each one
+     * a circuit execution avoided). */
+    std::uint64_t hits = 0;
 
-    /** Duplicate claims answered from a primary's future. */
-    std::uint64_t dedupeHits = 0;
+    /** Primary claims admitted (one backend execution each). */
+    std::uint64_t misses = 0;
 
-    /** Keys evicted past the entry cap (claim-time LRU). */
+    /** Primaries whose result became resident (their key was still
+     * tracked when they published). */
+    std::uint64_t insertions = 0;
+
+    /** Resident results dropped: LRU past the cap, clear(), or a
+     * retracted key. insertions - evictions always equals the
+     * number of resident results. */
     std::uint64_t evictions = 0;
+
+    /** Shots avoided across all hits. */
+    std::uint64_t shotsSaved = 0;
 
     /** Keys quarantined after a failed execution. */
     std::uint64_t quarantined = 0;
@@ -64,9 +81,18 @@ struct JobLedgerStats
 
     /** Claims abandoned before execution (admission shed). */
     std::uint64_t abandoned = 0;
+
+    /** hits / (hits + misses); 0 when no claims happened. */
+    double hitRate() const
+    {
+        const std::uint64_t total = hits + misses;
+        return total == 0
+            ? 0.0
+            : static_cast<double>(hits) / static_cast<double>(total);
+    }
 };
 
-/** Dedupe decision + LRU bookkeeping for cached execution paths. */
+/** Dedupe decision, result store and LRU for cached execution. */
 class JobLedger
 {
   public:
@@ -85,7 +111,7 @@ class JobLedger
         std::shared_future<Pmf> primary;
 
         /** Set iff this submission is the key's primary: execute the
-         * job, publish() the result here, and store() it. */
+         * job and store() the result through it. */
         std::shared_ptr<std::promise<Pmf>> publish;
 
         bool duplicate() const { return primary.valid(); }
@@ -93,11 +119,8 @@ class JobLedger
 
     /**
      * Claim @p key in submission order: touch it in the LRU, decide
-     * primary vs duplicate, and evict past the cap (evicted keys are
-     * dropped from @p cache too, keeping store and ledger in
-     * lockstep). Hit/miss statistics are credited to @p cache
-     * (@p shots is the submission's shot count, for the saved-cost
-     * accounting).
+     * primary vs duplicate, and evict past the cap. A duplicate is
+     * a hit that saves @p shots; a primary is a miss.
      *
      * @p owner tags a new primary with the claiming party (a
      * service session id; private runtimes pass 0). On a duplicate,
@@ -105,48 +128,44 @@ class JobLedger
      * how the service counts cross-session hits.
      */
     Claim claim(const JobKey &key, std::uint64_t shots,
-                ResultCache &cache, std::uint64_t owner = 0,
+                std::uint64_t owner = 0,
                 std::uint64_t *primary_owner = nullptr);
 
     /**
-     * Record the primary's computed result: inserted into @p cache
-     * unless the key was evicted while the primary was in flight
-     * (waiting duplicates still resolve through the shared future
-     * either way).
+     * Publish a primary's computed result to @p publish (resolving
+     * every waiting duplicate) and make it the key's resident cached
+     * result — unless the key was evicted or cleared while the
+     * primary was in flight, in which case only the waiters see it.
      */
-    void store(const JobKey &key, const Pmf &result,
-               ResultCache &cache);
+    void store(const JobKey &key,
+               const std::shared_ptr<std::promise<Pmf>> &publish,
+               const Pmf &result);
 
     /**
      * The future a duplicate submission returns: a deferred wait on
      * its primary's shared future, executed on the CONSUMER's
      * thread at get() time — no pool worker ever blocks on another
-     * task. The one definition of the deferral policy, shared by
-     * BatchExecutor and the service sessions.
+     * task.
      */
     static std::future<Pmf> deferToPrimary(Claim claim);
 
     /**
      * Execute a submission on @p backend with stream jobStream(key)
      * and run the primary-side bookkeeping in its one canonical
-     * order: execute, store into the ledger/@p cache (when @p cache
-     * is non-null — pass null on cache-off paths, which never
-     * claimed), resolve @p publish (when non-null), return the
-     * result. Shared by BatchExecutor and the service sessions so
-     * dedupe semantics cannot drift between them.
+     * order: execute, store() through @p publish (when non-null —
+     * cache-off paths never claimed and pass null), return the
+     * result.
      *
      * Fault tolerance: execution goes through
      * Executor::tryExecuteJob (deadline + bounded retry). A
      * quarantined key fails fast with FailedPrecondition before
      * touching the backend. When every attempt fails, the key is
-     * quarantined, its ledger entry is dropped (shared-cache state
-     * is untouched), the failure is published to @p publish (so
-     * waiting duplicates see the same StatusError), and a
-     * StatusError is thrown to the caller.
+     * quarantined, its ledger entry is dropped, the failure is
+     * published to @p publish (so waiting duplicates see the same
+     * StatusError), and a StatusError is thrown to the caller.
      */
     Pmf executeAndPublish(
         Executor &backend, const CircuitJob &job, const JobKey &key,
-        ResultCache *cache,
         const std::shared_ptr<std::promise<Pmf>> &publish);
 
     /**
@@ -175,20 +194,20 @@ class JobLedger
      */
     void clearQuarantine();
 
-    /** Snapshot of the bookkeeping counters. */
-    JobLedgerStats stats() const;
+    /** Snapshot of the accounting. */
+    CacheStats stats() const;
 
     /**
-     * Drop every tracked key (and the matching @p cache entries).
-     * Safe at any time, including with primaries in flight:
-     * duplicates already deferred keep their shared futures, and a
-     * cleared in-flight primary simply skips its store(). Because
+     * Drop every tracked key and its cached result. Safe at any
+     * time, including with primaries in flight: duplicates already
+     * deferred keep their shared futures, and a cleared in-flight
+     * primary's result simply never becomes resident. Because
      * results are pure functions of job content, clearing can only
      * cost re-execution, never change a result — use it to release
      * memory or to isolate measurement phases that must not share
      * work (e.g. comparing methods under a circuit budget).
      */
-    void clear(ResultCache &cache);
+    void clear();
 
     /** Tracked-key cap. */
     std::size_t maxEntries() const { return maxEntries_; }
@@ -199,15 +218,24 @@ class JobLedger
   private:
     struct Entry
     {
+        /** The primary's result: in flight until published, then
+         * the key's cached result. */
         std::shared_future<Pmf> primary;
         /** Claiming party of the primary (session id; 0 private). */
         std::uint64_t owner = 0;
+        /** Whether the result is resident (counted as an insertion;
+         * dropping it counts as an eviction). */
+        bool stored = false;
         /** Position in lru_ (spliced to the front on every claim). */
         std::list<JobKey>::iterator lruIt;
     };
 
-    /** Drop @p key's entry (and LRU slot) if tracked. Caller holds
-     * mutex_. */
+    /** Erase @p it (and its LRU slot), counting a resident result
+     * as an eviction. Caller holds mutex_. */
+    void eraseLocked(
+        std::unordered_map<JobKey, Entry, JobKeyHasher>::iterator it);
+
+    /** Drop @p key's entry if tracked. Caller holds mutex_. */
     void dropEntryLocked(const JobKey &key);
 
     mutable std::mutex mutex_;
@@ -217,7 +245,7 @@ class JobLedger
     std::list<JobKey> lru_;
     /** Poisoned keys (failed execution); not cleared by clear(). */
     std::unordered_set<JobKey, JobKeyHasher> quarantine_;
-    JobLedgerStats stats_;
+    CacheStats stats_;
 };
 
 } // namespace varsaw

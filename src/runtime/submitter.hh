@@ -6,7 +6,7 @@
  * implementations exist:
  *
  *  - BatchExecutor (runtime/batch_executor.hh): the private,
- *    estimator-owned runtime — its own worker pool and caches;
+ *    estimator-owned runtime — its own worker pool and ledger;
  *  - Session (src/service/execution_service.hh): a cheap handle
  *    onto the process-wide ExecutionService, sharing one scheduler
  *    and one set of caches with every other session.
@@ -33,7 +33,7 @@
 #include <memory>
 #include <vector>
 
-#include "runtime/result_cache.hh"
+#include "runtime/job_ledger.hh"
 #include "sim/job.hh"
 #include "util/pmf.hh"
 
@@ -60,9 +60,9 @@ class JobSubmitter
     virtual const Executor &backend() const = 0;
 
     /**
-     * Result-cache statistics as seen by this submitter: the private
-     * cache's stats for a BatchExecutor, this session's share of the
-     * service-wide cache for a Session.
+     * Dedupe statistics as seen by this submitter: the private
+     * ledger's stats for a BatchExecutor, this session's share of the
+     * service-wide ledger for a Session.
      */
     virtual CacheStats cacheStats() const = 0;
 

@@ -7,7 +7,6 @@
 
 #include "fault/fault_injector.hh"
 #include "telemetry/metrics.hh"
-#include "telemetry/profiler.hh"
 #include "telemetry/trace.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
@@ -155,7 +154,7 @@ struct SloState
 Session::Session(ExecutionService *service,
                  std::shared_ptr<ExecutionService> keep_alive,
                  std::string name, bool cache_results,
-                 bool prefix_aware, LatencyClass latency_class)
+                 LatencyClass latency_class)
     : service_(service), keepAlive_(std::move(keep_alive)),
       name_(std::move(name)),
       id_(service->nextSessionId_.fetch_add(
@@ -165,8 +164,7 @@ Session::Session(ExecutionService *service,
       // initialized above; declaration order guarantees it).
       queue_(service->scheduler_.openQueue(
           name_.empty() ? "s" + std::to_string(id_) : name_)),
-      cacheResults_(cache_results), prefixAware_(prefix_aware),
-      latencyClass_(latency_class)
+      cacheResults_(cache_results), latencyClass_(latency_class)
 {
     service_->sessionsOpened_.fetch_add(1,
                                         std::memory_order_relaxed);
@@ -209,7 +207,6 @@ Session::cacheStats() const
     CacheStats stats;
     stats.hits = hits_.load(std::memory_order_relaxed);
     stats.misses = misses_.load(std::memory_order_relaxed);
-    stats.circuitsSaved = stats.hits;
     stats.shotsSaved = shotsSaved_.load(std::memory_order_relaxed);
     return stats;
 }
@@ -240,7 +237,6 @@ Session::stats() const
 ExecutionService::ExecutionService(Executor &backend,
                                    ServiceConfig config)
     : backend_(backend), config_(config),
-      cache_(config.cacheMaxEntries),
       ledger_(config.cacheMaxEntries),
       scheduler_(resolveServiceThreads(config.threads),
                  config.maxQueueDepth)
@@ -318,12 +314,11 @@ ExecutionService::sessionStatus() const
 std::unique_ptr<Session>
 ExecutionService::makeSession(
     std::shared_ptr<ExecutionService> keep_alive, std::string name,
-    bool cache_results, bool prefix_aware,
-    LatencyClass latency_class)
+    bool cache_results, LatencyClass latency_class)
 {
     return std::unique_ptr<Session>(
         new Session(this, std::move(keep_alive), std::move(name),
-                    cache_results, prefix_aware, latency_class));
+                    cache_results, latency_class));
 }
 
 std::unique_ptr<Session>
@@ -331,7 +326,6 @@ ExecutionService::createSession(std::string name)
 {
     return makeSession(nullptr, std::move(name),
                        config_.cacheResults,
-                       config_.prefixAwareScheduling,
                        config_.defaultLatencyClass);
 }
 
@@ -340,9 +334,7 @@ ExecutionService::createSession(std::string name,
                                 LatencyClass latency_class)
 {
     return makeSession(nullptr, std::move(name),
-                       config_.cacheResults,
-                       config_.prefixAwareScheduling,
-                       latency_class);
+                       config_.cacheResults, latency_class);
 }
 
 std::unique_ptr<JobSubmitter>
@@ -354,7 +346,6 @@ ExecutionService::openSession(Executor &backend,
               "executor is not this service's backend (results are "
               "backend-specific; open one service per backend)");
     return makeSession(nullptr, {}, config.cacheResults,
-                       config.prefixAwareScheduling,
                        config.latencyClass);
 }
 
@@ -366,7 +357,6 @@ ExecutionService::openOwnedSession(
     if (self.get() != this)
         panic("ExecutionService::openOwnedSession: self mismatch");
     return makeSession(std::move(self), {}, config.cacheResults,
-                       config.prefixAwareScheduling,
                        config.latencyClass);
 }
 
@@ -379,7 +369,7 @@ ExecutionService::drain()
 void
 ExecutionService::clearSharedCaches()
 {
-    ledger_.clear(cache_);
+    ledger_.clear();
 }
 
 void
@@ -406,17 +396,15 @@ ExecutionService::stats() const
     stats.inlineAfterShutdown =
         inlineAfterShutdown_.load(std::memory_order_relaxed);
     stats.quarantinedKeys = ledger_.quarantinedCount();
-    stats.cache = cache_.stats();
+    stats.cache = ledger_.stats();
     return stats;
 }
 
 std::vector<std::future<Pmf>>
 ExecutionService::submitFor(Session &session, const Batch &batch)
 {
-    std::vector<std::future<Pmf>> futures;
-    futures.reserve(batch.size());
     if (batch.empty())
-        return futures;
+        return {};
 
     session.jobs_.fetch_add(batch.size(),
                             std::memory_order_relaxed);
@@ -429,137 +417,30 @@ ExecutionService::submitFor(Session &session, const Batch &batch)
     const bool metricsOn = telemetry::metricsEnabled();
     const std::uint64_t submitNs =
         metricsOn ? telemetry::nowNs() : 0;
-    std::uint64_t tallyHits = 0, tallyCrossHits = 0,
-                  tallyMisses = 0, tallyShotsSaved = 0,
-                  tallyInline = 0;
+    std::uint64_t tallyInline = 0;
 
-    // Task closures reference the jobs through shared batch storage
-    // (one copy per submit), so futures stay valid even if the
-    // caller drops the Batch — or the Session — before they
-    // resolve; they capture the service, never the session.
-    auto owned = std::make_shared<const std::vector<CircuitJob>>(
-        batch.jobs());
-    std::vector<PrepKey> prep_keys;
-    if (session.prefixAware_)
-        prep_keys = prepKeysOf(*owned);
+    // Shared-ledger admission in submission order: the first
+    // session to claim a key (across ALL tenants) executes it;
+    // everyone else — including other sessions — defers onto the
+    // primary's future. The admitted chunks capture the service and
+    // shared batch storage, never the session, so futures stay valid
+    // even if the caller drops the Batch or the Session first.
+    const std::string traceLabel =
+        telemetry::tracingEnabled() ? sessionLabel(session) : "";
+    AdmittedBatch admitted = admitChunked(
+        Admitter{ledger_, backend_, session.cacheResults_, session.id_,
+                 traceLabel.empty() ? nullptr : traceLabel.c_str()},
+        batch, static_cast<std::size_t>(scheduler_.threadCount()));
+    const AdmissionTally &tally = admitted.tally;
+    session.hits_.fetch_add(tally.hits, std::memory_order_relaxed);
+    session.crossHits_.fetch_add(tally.crossHits,
+                                 std::memory_order_relaxed);
+    session.misses_.fetch_add(tally.misses, std::memory_order_relaxed);
+    session.shotsSaved_.fetch_add(tally.shotsSaved,
+                                  std::memory_order_relaxed);
+    crossSessionHits_.fetch_add(tally.crossHits,
+                                std::memory_order_relaxed);
 
-    // One pending record per primary job: the task closure plus the
-    // metadata the shed path needs to fail the job WITHOUT running
-    // it (its ledger claim and its caller-facing promise).
-    struct PendingJob
-    {
-        PrepKey prepKey;
-        JobKey key;
-        std::shared_ptr<std::promise<Pmf>> publish; //!< ledger claim
-        std::shared_ptr<std::promise<Pmf>> done; //!< caller's future
-        std::function<void()> run;
-    };
-    std::vector<PendingJob> pending;
-    pending.reserve(owned->size());
-
-    for (std::size_t i = 0; i < owned->size(); ++i) {
-        const CircuitJob &job = (*owned)[i];
-        const JobKey key = makeJobKey(job);
-        if (telemetry::tracingEnabled())
-            telemetry::SpanTracer::instance().instant(
-                "enqueue", jobStream(key),
-                sessionLabel(session).c_str());
-
-        // Shared-ledger admission in submission order: the first
-        // session to claim a key (across ALL tenants) executes it;
-        // everyone else — including other sessions — defers onto
-        // the primary's future. Content-derived streams make the
-        // deduped result identical to what the duplicate would have
-        // computed itself, so WHO wins the claim race can never
-        // change a result, only the bookkeeping.
-        std::shared_ptr<std::promise<Pmf>> publish;
-        if (session.cacheResults_) {
-            std::uint64_t primary_owner = 0;
-            auto claim = [&] {
-                telemetry::ScopedPhase phase(
-                    telemetry::Phase::LedgerLookup);
-                return ledger_.claim(key, job.shots, cache_,
-                                     session.id_, &primary_owner);
-            }();
-            if (claim.duplicate()) {
-                session.hits_.fetch_add(1,
-                                        std::memory_order_relaxed);
-                session.shotsSaved_.fetch_add(
-                    job.shots, std::memory_order_relaxed);
-                ++tallyHits;
-                tallyShotsSaved += job.shots;
-                if (primary_owner != session.id_) {
-                    session.crossHits_.fetch_add(
-                        1, std::memory_order_relaxed);
-                    crossSessionHits_.fetch_add(
-                        1, std::memory_order_relaxed);
-                    ++tallyCrossHits;
-                }
-                futures.push_back(
-                    JobLedger::deferToPrimary(std::move(claim)));
-                continue;
-            }
-            session.misses_.fetch_add(1, std::memory_order_relaxed);
-            ++tallyMisses;
-            publish = std::move(claim.publish);
-        }
-
-        const CircuitJob *job_ptr = &job;
-        ResultCache *cache =
-            session.cacheResults_ ? &cache_ : nullptr;
-        // Explicit promise instead of a packaged_task so the shed
-        // path can fail the future without running the task. A
-        // failed execution (StatusError: quarantine, retries
-        // exhausted, invalid job) fails THIS job's future and
-        // nothing else — the rest of its chunk still runs.
-        auto done = std::make_shared<std::promise<Pmf>>();
-        futures.push_back(done->get_future());
-        auto run = [this, owned, job_ptr, key, cache, publish,
-                    done] {
-            try {
-                done->set_value(ledger_.executeAndPublish(
-                    backend_, *job_ptr, key, cache, publish));
-            } catch (...) {
-                done->set_exception(std::current_exception());
-            }
-        };
-        pending.push_back(
-            {session.prefixAware_ ? prep_keys[i] : PrepKey{}, key,
-             std::move(publish), std::move(done), std::move(run)});
-    }
-
-    // Admission: prefix-aware chunks (or one task per chunk) into
-    // this session's FIFO queue; the scheduler round-robins across
-    // sessions. Three non-Accepted outcomes, all local to the
-    // chunk:
-    //  - Closed (shutdown, or a shutdown racing this submit): the
-    //    chunk runs inline on the submitting thread — same jobs,
-    //    same streams, same results (satellite counter
-    //    service.inline_after_shutdown + a once-per-service warn;
-    //    this fallover used to be silent).
-    //  - Full (queue at ServiceConfig::maxQueueDepth): the chunk is
-    //    SHED — every job's future fails with ResourceExhausted and
-    //    its ledger claim is abandoned so cross-session duplicates
-    //    fail too instead of hanging. Nothing executes; the caller
-    //    backs off and resubmits.
-    //  - Injected worker stall (fault::FaultSite::WorkerStall,
-    //    keyed by the chunk's first job): degrade to inline
-    //    execution, as if the worker assigned to the chunk never
-    //    picked it up and the submitter reclaimed the work.
-    std::vector<std::vector<std::size_t>> chunk_indices;
-    if (session.prefixAware_) {
-        std::vector<PrepKey> pending_keys;
-        pending_keys.reserve(pending.size());
-        for (const PendingJob &p : pending)
-            pending_keys.push_back(p.prepKey);
-        chunk_indices = prefixScheduleIndexChunks(
-            pending_keys,
-            static_cast<std::size_t>(scheduler_.threadCount()));
-    } else {
-        chunk_indices.reserve(pending.size());
-        for (std::size_t i = 0; i < pending.size(); ++i)
-            chunk_indices.push_back({i});
-    }
     // Latency-class SLO accounting: the last chunk to complete
     // records the batch's submit-to-complete wall time (SloState).
     // All-hit batches (no chunks) complete right here.
@@ -572,31 +453,43 @@ ExecutionService::submitFor(Session &session, const Batch &batch)
             session.latencyClass_ == LatencyClass::Interactive
             ? config_.interactiveSloNs
             : config_.bulkSloNs;
-        slo->remaining.store(chunk_indices.size(),
+        slo->remaining.store(admitted.chunks.size(),
                              std::memory_order_relaxed);
-        if (chunk_indices.empty())
+        if (admitted.chunks.empty())
             slo->record();
     }
 
+    // Dispatch: each prefix-placed chunk goes into this session's
+    // FIFO queue; the scheduler round-robins across sessions. Three
+    // non-Accepted outcomes, all local to the chunk:
+    //  - Closed (shutdown, or a shutdown racing this submit): the
+    //    chunk runs inline on the submitting thread — same jobs,
+    //    same streams, same results (counter
+    //    service.inline_after_shutdown + a once-per-service warn).
+    //  - Full (queue at ServiceConfig::maxQueueDepth): the chunk is
+    //    SHED — every job's future fails with ResourceExhausted and
+    //    its ledger claim is abandoned so cross-session duplicates
+    //    fail too instead of hanging. Nothing executes; the caller
+    //    backs off and resubmits.
+    //  - Injected worker stall (fault::FaultSite::WorkerStall,
+    //    keyed by the chunk's first job): degrade to inline
+    //    execution, as if the worker assigned to the chunk never
+    //    picked it up and the submitter reclaimed the work.
     auto &injector = fault::FaultInjector::instance();
     std::uint64_t tallyShed = 0;
-    for (const auto &indices : chunk_indices) {
-        auto shared = std::make_shared<
-            std::vector<std::function<void()>>>();
-        shared->reserve(indices.size());
-        for (std::size_t i : indices)
-            shared->push_back(std::move(pending[i].run));
+    for (auto &chunk : admitted.chunks) {
+        auto shared = std::make_shared<const std::vector<PrimaryJob>>(
+            std::move(chunk));
         auto runner = [shared, slo] {
-            for (auto &run : *shared)
-                run();
+            for (const PrimaryJob &p : *shared)
+                p.run();
             if (slo)
                 slo->complete();
         };
 
-        if (injector.enabled() && !indices.empty() &&
-            injector.shouldInject(
-                fault::FaultSite::WorkerStall,
-                jobStream(pending[indices.front()].key))) {
+        if (injector.enabled() &&
+            injector.shouldInject(fault::FaultSite::WorkerStall,
+                                  jobStream(shared->front().key))) {
             session.inlineJobs_.fetch_add(
                 shared->size(), std::memory_order_relaxed);
             tallyInline += shared->size();
@@ -612,13 +505,8 @@ ExecutionService::submitFor(Session &session, const Batch &batch)
                 "session admission queue is full (maxQueueDepth=" +
                 std::to_string(scheduler_.maxQueueDepth()) +
                 "): job shed — back off and resubmit");
-            for (std::size_t i : indices) {
-                PendingJob &p = pending[i];
-                if (p.publish)
-                    ledger_.abandon(p.key, p.publish, status);
-                p.done->set_exception(std::make_exception_ptr(
-                    StatusError(status)));
-            }
+            for (const PrimaryJob &p : *shared)
+                p.shed(status);
             session.shed_.fetch_add(shared->size(),
                                     std::memory_order_relaxed);
             shedJobs_.fetch_add(shared->size(),
@@ -652,18 +540,18 @@ ExecutionService::submitFor(Session &session, const Batch &batch)
     if (metricsOn) {
         ServiceMetrics &svc = ServiceMetrics::get();
         svc.jobsSubmitted.add(batch.size());
-        svc.crossSessionHits.add(tallyCrossHits);
+        svc.crossSessionHits.add(tally.crossHits);
         svc.shed.add(tallyShed);
         SessionBatchMetrics m =
             SessionBatchMetrics::forSession(session);
         m.jobs.add(batch.size());
-        m.hits.add(tallyHits);
-        m.crossHits.add(tallyCrossHits);
-        m.misses.add(tallyMisses);
-        m.shotsSaved.add(tallyShotsSaved);
+        m.hits.add(tally.hits);
+        m.crossHits.add(tally.crossHits);
+        m.misses.add(tally.misses);
+        m.shotsSaved.add(tally.shotsSaved);
         m.inlineJobs.add(tallyInline);
     }
-    return futures;
+    return std::move(admitted.futures);
 }
 
 // ---- VARSAW_SHARED_SERVICE env shim ----------------------------------------
@@ -699,8 +587,8 @@ sharedServiceSession(Executor &backend, const RuntimeConfig &config)
             // field as ignored under a service), and letting one
             // tenant's small cap thrash every later tenant's dedupe
             // would silently balloon circuit costs. Per-session
-            // cacheResults/prefixAwareScheduling still come from
-            // each estimator's RuntimeConfig below.
+            // cacheResults still comes from each estimator's
+            // RuntimeConfig below.
             service = std::make_shared<ExecutionService>(
                 backend, ServiceConfig{});
             slot = service;

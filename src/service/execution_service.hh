@@ -4,14 +4,14 @@
  * caches, multi-tenant sessions.
  *
  * Before this layer, every estimator owned a private BatchExecutor
- * — its own worker pool, its own ResultCache — so
+ * — its own worker pool, its own JobLedger — so
  * SelectiveVarsawEstimator's heavy/light halves, a ZNE wrapper over
  * a baseline, or two concurrent clients re-executed identical jobs
  * and competed for cores. The ExecutionService inverts the
  * ownership: ONE service per backend owns the worker supply (a
  * ServiceScheduler whose threads also serve as the kernel-helper
- * pool) and the shared dedupe state (one JobLedger + ResultCache
- * across all tenants, plus the backend SimEngine's StateCache,
+ * pool) and the shared dedupe state (one JobLedger across all
+ * tenants, plus the backend SimEngine's StateCache,
  * which all sessions share by construction). Estimators and
  * external clients hold cheap Session handles and submit batches
  * through them; identical (prep, suffix, params, shots) work
@@ -54,7 +54,6 @@
 #include "mitigation/executor.hh"
 #include "runtime/batch_executor.hh"
 #include "runtime/job_ledger.hh"
-#include "runtime/result_cache.hh"
 #include "runtime/submitter.hh"
 #include "service/scheduler.hh"
 #include "telemetry/introspect.hh"
@@ -79,18 +78,14 @@ struct ServiceConfig
 
     /**
      * Dedupe identical submissions across ALL sessions through the
-     * shared ledger + result cache (on by default — sharing is the
+     * shared ledger (on by default — sharing is the
      * point of the service). Sessions opened with an explicit
      * RuntimeConfig can still opt out individually.
      */
     bool cacheResults = true;
 
-    /** Tracked-key cap of the shared dedupe ledger / result cache. */
+    /** Tracked-key cap of the shared dedupe ledger. */
     std::size_t cacheMaxEntries = 1 << 16;
-
-    /** Default prefix-aware placement for sessions (see
-     * RuntimeConfig::prefixAwareScheduling). */
-    bool prefixAwareScheduling = true;
 
     /**
      * Intra-kernel threads to apply at service construction via
@@ -190,7 +185,7 @@ struct ServiceStats
     /** Poison keys currently quarantined in the shared ledger. */
     std::uint64_t quarantinedKeys = 0;
 
-    /** Shared result-cache statistics (all sessions combined). */
+    /** Shared ledger statistics (all sessions combined). */
     CacheStats cache;
 };
 
@@ -216,11 +211,10 @@ class Session : public JobSubmitter
     const Executor &backend() const override;
 
     /**
-     * This session's share of the shared cache:
+     * This session's share of the shared ledger:
      * hits/misses/shotsSaved as counted at this session's
-     * submissions (circuitsSaved == hits). Insertions/evictions are
-     * service-wide concepts and read 0 here; see
-     * ExecutionService::cache() for the global view.
+     * submissions. The other fields are service-wide and read 0
+     * here; see ExecutionService::stats().cache for the global view.
      */
     CacheStats cacheStats() const override;
 
@@ -248,7 +242,7 @@ class Session : public JobSubmitter
     Session(ExecutionService *service,
             std::shared_ptr<ExecutionService> keep_alive,
             std::string name, bool cache_results,
-            bool prefix_aware, LatencyClass latency_class);
+            LatencyClass latency_class);
 
     ExecutionService *service_;
     /** Set on the owning path (env shim): the last session keeps
@@ -258,7 +252,6 @@ class Session : public JobSubmitter
     std::uint64_t id_;
     std::uint64_t queue_;
     bool cacheResults_;
-    bool prefixAware_;
     LatencyClass latencyClass_;
 
     std::atomic<std::uint64_t> jobs_{0};
@@ -288,9 +281,8 @@ class ExecutionService : public ExecutionBackplane
     ~ExecutionService() override;
 
     /**
-     * Open a session with the service's default cache/placement
-     * settings. The session borrows the service (must not outlive
-     * it).
+     * Open a session with the service's default cache setting.
+     * The session borrows the service (must not outlive it).
      */
     std::unique_ptr<Session> createSession(std::string name = {});
 
@@ -306,8 +298,7 @@ class ExecutionService : public ExecutionBackplane
     /**
      * ExecutionBackplane: open a session for an estimator.
      * @p backend must be THIS service's backend. Honors
-     * config.cacheResults / config.prefixAwareScheduling per
-     * session; config.threads is ignored (the service's workers are
+     * config.cacheResults per session; config.threads is ignored (the service's workers are
      * the thread supply).
      */
     std::unique_ptr<JobSubmitter>
@@ -337,10 +328,6 @@ class ExecutionService : public ExecutionBackplane
         return backend_.simEngine();
     }
 
-    /** The shared result cache (service-wide statistics). */
-    const ResultCache &cache() const { return cache_; }
-    ResultCache &cache() { return cache_; }
-
     /** The shared dedupe ledger (quarantine inspection /
      * clearQuarantine() after operator intervention). */
     const JobLedger &ledger() const { return ledger_; }
@@ -356,7 +343,7 @@ class ExecutionService : public ExecutionBackplane
     void drain();
 
     /**
-     * Drop all shared dedupe state (ledger + result cache; the
+     * Drop all shared dedupe state (the ledger's cached results; the
      * backend's StateCache is untouched). Results cannot change —
      * they are pure functions of job content — so this only costs
      * re-execution. Use it to release memory, or to fence
@@ -394,7 +381,7 @@ class ExecutionService : public ExecutionBackplane
     std::unique_ptr<Session>
     makeSession(std::shared_ptr<ExecutionService> keep_alive,
                 std::string name, bool cache_results,
-                bool prefix_aware, LatencyClass latency_class);
+                LatencyClass latency_class);
 
     /** Start the live-introspection endpoint when
      * telemetry::introspectPath() is set (ctor helper). */
@@ -411,7 +398,6 @@ class ExecutionService : public ExecutionBackplane
 
     Executor &backend_;
     ServiceConfig config_;
-    ResultCache cache_;
     JobLedger ledger_;
     std::atomic<std::uint64_t> nextSessionId_{1};
     std::atomic<std::uint64_t> sessionsOpened_{0};
@@ -431,8 +417,8 @@ class ExecutionService : public ExecutionBackplane
     std::map<std::uint64_t, Session *> liveSessions_;
     /**
      * Declared last: its destructor (via shutdown()) joins the
-     * workers first, so no in-flight task can touch the ledger or
-     * cache after they are destroyed.
+     * workers first, so no in-flight task can touch the ledger
+     * after it is destroyed.
      */
     ServiceScheduler scheduler_;
     /**

@@ -8,7 +8,7 @@
  * shot noise or any optimizer step this stack takes, so only
  * physically indistinguishable angles collide), and the shot
  * count. Two submissions
- * with equal keys are redundant work: the ResultCache answers the
+ * with equal keys are redundant work: the JobLedger answers the
  * later one with the earlier one's sampled result instead of
  * re-executing.
  *

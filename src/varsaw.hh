@@ -44,7 +44,6 @@
 // Execution runtime
 #include "runtime/batch_executor.hh"
 #include "runtime/job_ledger.hh"
-#include "runtime/result_cache.hh"
 #include "runtime/submitter.hh"
 #include "runtime/thread_pool.hh"
 

@@ -227,9 +227,10 @@ TEST(PrefixScheduler, GroupsCompareFullKeysNotDigests)
 TEST(PrefixScheduler, MultiPrepBatchDeterministicAcrossPlacement)
 {
     // Several distinct preps (distinct group keys) in one batch:
-    // results must be bit-identical whether the prefix-aware
-    // scheduler places them or not, at any thread count, and each
-    // prep must still be simulated exactly once.
+    // results must be bit-identical however the prefix-aware
+    // scheduler places them — one chunk per prep at 2 workers, split
+    // groups at 4 — and each prep must still be simulated exactly
+    // once.
     const int qubits = 4;
     const std::vector<PauliString> bases = {
         PauliString::parse("XYZX"), PauliString::parse("ZZXX"),
@@ -244,12 +245,10 @@ TEST(PrefixScheduler, MultiPrepBatchDeterministicAcrossPlacement)
         prep_params.push_back(ansatz.initialParameters(7));
     }
 
-    auto run = [&](int threads, bool prefix_aware,
-                   std::uint64_t *prep_sims) {
+    auto run = [&](int threads, std::uint64_t *prep_sims) {
         IdealExecutor exec(23);
         RuntimeConfig config;
         config.threads = threads;
-        config.prefixAwareScheduling = prefix_aware;
         BatchExecutor runtime(exec, config);
         Batch batch;
         for (std::size_t p = 0; p < preps.size(); ++p)
@@ -264,18 +263,15 @@ TEST(PrefixScheduler, MultiPrepBatchDeterministicAcrossPlacement)
     };
 
     std::uint64_t serial_preps = 0;
-    const auto reference = run(1, true, &serial_preps);
+    const auto reference = run(1, &serial_preps);
     EXPECT_EQ(serial_preps, preps.size());
     for (int threads : {2, 4}) {
-        for (bool prefix_aware : {true, false}) {
-            std::uint64_t prep_sims = 0;
-            const auto got = run(threads, prefix_aware, &prep_sims);
-            EXPECT_EQ(prep_sims, preps.size())
-                << threads << "/" << prefix_aware;
-            ASSERT_EQ(got.size(), reference.size());
-            for (std::size_t i = 0; i < got.size(); ++i)
-                expectBitIdentical(reference[i], got[i]);
-        }
+        std::uint64_t prep_sims = 0;
+        const auto got = run(threads, &prep_sims);
+        EXPECT_EQ(prep_sims, preps.size()) << threads;
+        ASSERT_EQ(got.size(), reference.size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+            expectBitIdentical(reference[i], got[i]);
     }
 }
 

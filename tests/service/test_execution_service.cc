@@ -643,42 +643,6 @@ TEST(Executor, ExecutorsCanShareOneSimEngine)
         expectBitIdentical(res_private[i], res_shared[i]);
 }
 
-TEST(JobLedger, LruEvictsColdKeysKeepsHotOnes)
-{
-    // The submission-order-deterministic LRU that replaced the
-    // reproducibility bulk-clear: pushing past the cap evicts the
-    // least-recently-claimed key only, so a hot key survives any
-    // number of one-shot claims.
-    ResultCache cache(8);
-    JobLedger ledger(2);
-    auto key = [](std::uint64_t n) {
-        return JobKey{n, 0, 64};
-    };
-
-    auto hot = ledger.claim(key(1), 64, cache);
-    ASSERT_FALSE(hot.duplicate());
-    hot.publish->set_value(Pmf(1));
-    ledger.store(key(1), Pmf(1), cache);
-
-    for (std::uint64_t cold = 2; cold < 6; ++cold) {
-        // Touch the hot key, then claim a fresh cold one: the cap
-        // (2) forces an eviction that must always pick the cold
-        // predecessor, never the just-touched hot key.
-        auto again = ledger.claim(key(1), 64, cache);
-        ASSERT_TRUE(again.duplicate());
-        auto fresh = ledger.claim(key(cold), 64, cache);
-        ASSERT_FALSE(fresh.duplicate());
-        fresh.publish->set_value(Pmf(1));
-        ledger.store(key(cold), Pmf(1), cache);
-        EXPECT_EQ(ledger.size(), 2u);
-    }
-    EXPECT_TRUE(ledger.claim(key(1), 64, cache).duplicate());
-    // Cold keys were evicted: claiming one again is a fresh miss.
-    auto evicted = ledger.claim(key(2), 64, cache);
-    EXPECT_FALSE(evicted.duplicate());
-    evicted.publish->set_value(Pmf(1));
-}
-
 TEST(BatchExecutor, HotResultsSurviveTheCacheBoundary)
 {
     // End-to-end view of the same property: a runtime whose cap is

@@ -371,7 +371,7 @@ TEST(FaultTolerance, ExhaustedRetriesQuarantineThePoisonKey)
     EXPECT_THROW((void)after_clear[0].get(), StatusError);
     EXPECT_EQ(service.stats().quarantinedKeys, 1u);
 
-    const JobLedgerStats ledger_stats = service.ledger().stats();
+    const CacheStats ledger_stats = service.ledger().stats();
     EXPECT_EQ(ledger_stats.quarantined, 1u);
     EXPECT_EQ(ledger_stats.quarantineRejections, 2u);
 
