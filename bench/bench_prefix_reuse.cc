@@ -11,11 +11,13 @@
  * on, so each evaluation costs ONE full prep simulation plus one
  * cheap suffix + marginal per basis.
  *
- * Expected shape: about 1.7-1.9x circuits/sec on the 12-qubit /
- * 20-basis workload at the default 2048 shots (measured on a
- * 4-thread host, g++ 12, AVX-512; 2.3-2.5x at 256 shots). The prep
- * is ~200 gate kernels vs a handful of suffix rotations, but shot
- * sampling, which both paths pay in full, dominates job time. Also
+ * Expected shape: about 2.8x circuits/sec on the 12-qubit /
+ * 20-basis workload at the default 2048 shots (measured 2.7-2.9x on
+ * a 4-thread host, g++ 12, AVX-512; about 2.9x at 256 shots). The
+ * prep is ~200 gate kernels vs a handful of suffix rotations, but
+ * both paths pay the per-job work in full: readout confusion over
+ * the 4096-outcome marginal and the alias-table build over it,
+ * which alone is about half of the prefix-shared path's time. Also
  * a prep-cache hit rate of (bases-1)/bases per evaluation, and
  * bit-identical energies on both paths.
  *
@@ -128,9 +130,9 @@ main(int argc, char **argv)
         return 2;
     banner("Prefix reuse - shared state-prep vs per-circuit "
            "simulation",
-           "about 1.8x circuits/sec on a 12-qubit, 20-basis "
-           "evaluation at 2048 shots (sampling dominates); one prep "
-           "simulation per (params) point; identical results");
+           "about 2.8x circuits/sec on a 12-qubit, 20-basis "
+           "evaluation at 2048 shots; one prep simulation per "
+           "(params) point; identical results");
 
     // Depth p = 3 (the paper sweeps EfficientSU2 up to p = 4 in
     // Table 4): a deep prep is exactly the regime the engine

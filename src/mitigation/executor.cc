@@ -7,7 +7,6 @@
 #include "sim/density_matrix.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/profiler.hh"
-#include "util/counts.hh"
 #include "util/logging.hh"
 
 namespace varsaw {
@@ -33,22 +32,21 @@ struct RetryMetrics
 };
 
 /**
- * Order-independent content digest of a Pmf — the "wire" integrity
- * check of the corruption fault point. Commutative fold over the
- * sparse support, so the unordered iteration order cannot change
- * the digest; any single flipped probability bit changes it.
+ * Content digest of a Pmf — the "wire" integrity check of the
+ * corruption fault point. A chained fold over the support in its
+ * (sorted) outcome order; any single flipped probability bit
+ * changes it.
  */
 std::uint64_t
 pmfDigest(const Pmf &pmf)
 {
-    std::uint64_t acc = 0;
-    // varsaw-lint: allow(unordered-iter) commutative (addition) fold: iteration order cannot change the digest
-    for (const auto &entry : pmf.raw()) {
+    std::uint64_t acc = static_cast<std::uint64_t>(pmf.numBits());
+    for (const Pmf::Entry &e : pmf.entries()) {
         std::uint64_t bits = 0;
-        std::memcpy(&bits, &entry.second, sizeof bits);
-        acc += mix64(entry.first, bits);
+        std::memcpy(&bits, &e.p, sizeof bits);
+        acc = mix64(acc, mix64(e.outcome, bits));
     }
-    return mix64(static_cast<std::uint64_t>(pmf.numBits()), acc);
+    return acc;
 }
 
 /**
@@ -253,8 +251,7 @@ IdealExecutor::executeImpl(const JobView &job, Rng &rng)
     if (job.shots == 0)
         return exact;
     telemetry::ScopedPhase phase(telemetry::Phase::Sampling);
-    Pmf sampled = exact.sample(rng, job.shots).toPmf();
-    return sampled;
+    return exact.sample(rng, job.shots);
 }
 
 NoisyExecutor::NoisyExecutor(DeviceModel device, GateNoiseMode mode,
@@ -386,7 +383,7 @@ NoisyExecutor::executeImpl(const JobView &job, Rng &rng)
     if (job.shots == 0)
         return noisy;
     telemetry::ScopedPhase phase(telemetry::Phase::Sampling);
-    return noisy.sample(rng, job.shots).toPmf();
+    return noisy.sample(rng, job.shots);
 }
 
 DensityMatrixExecutor::DensityMatrixExecutor(DeviceModel device,

@@ -57,9 +57,9 @@ M3Mitigator::apply(const Pmf &measured,
     std::vector<double> p;
     outcomes.reserve(n);
     p.reserve(n);
-    for (const auto &[outcome, prob] : measured.raw()) {
-        outcomes.push_back(outcome);
-        p.push_back(prob);
+    for (const Pmf::Entry &e : measured.entries()) {
+        outcomes.push_back(e.outcome);
+        p.push_back(e.p);
     }
 
     // Restricted transition matrix A(s, t), column-normalized over

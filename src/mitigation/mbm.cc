@@ -35,13 +35,13 @@ MbmCalibration::calibrate(Executor &executor, int num_qubits,
     for (int q = 0; q < num_qubits; ++q) {
         // Marginal probability of reading 1 (resp. 0) on qubit q.
         double p01 = 0.0;
-        for (const auto &[outcome, p] : zeros_pmf.raw())
-            if ((outcome >> q) & 1ull)
-                p01 += p;
+        for (const Pmf::Entry &e : zeros_pmf.entries())
+            if ((e.outcome >> q) & 1ull)
+                p01 += e.p;
         double p10 = 0.0;
-        for (const auto &[outcome, p] : ones_pmf.raw())
-            if (!((outcome >> q) & 1ull))
-                p10 += p;
+        for (const Pmf::Entry &e : ones_pmf.entries())
+            if (!((e.outcome >> q) & 1ull))
+                p10 += e.p;
         cal.errors_[q].p01 = p01;
         cal.errors_[q].p10 = p10;
     }

@@ -43,6 +43,7 @@ wakeAssistHosts()
     // Under the registry lock so removeKernelAssistHost() can
     // guarantee no callback runs after it returns.
     std::lock_guard<std::mutex> lock(hostMutex);
+    // varsaw-lint: allow(unordered-iter) only wakes helper hosts; which host wakes first never reaches a result
     for (auto &[id, wake] : assistHosts)
         wake();
 }

@@ -2,13 +2,66 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 
 #include "util/bitops.hh"
-#include "util/counts.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace varsaw {
+
+namespace {
+
+bool
+outcomeLess(const Pmf::Entry &e, std::uint64_t outcome)
+{
+    return e.outcome < outcome;
+}
+
+/**
+ * Walk the union of two sorted supports in outcome order, calling
+ * @p f(pa, pb) once per outcome with 0 for a side that lacks it.
+ */
+template <typename F>
+void
+mergeJoin(const std::vector<Pmf::Entry> &a,
+          const std::vector<Pmf::Entry> &b, F &&f)
+{
+    std::size_t i = 0, j = 0;
+    while (i < a.size() || j < b.size()) {
+        if (j == b.size() ||
+            (i < a.size() && a[i].outcome < b[j].outcome)) {
+            f(a[i++].p, 0.0);
+        } else if (i == a.size() || b[j].outcome < a[i].outcome) {
+            f(0.0, b[j++].p);
+        } else {
+            f(a[i++].p, b[j++].p);
+        }
+    }
+}
+
+/** One alias-table column (Walker 1977; Vose 1991 build). */
+struct AliasColumn
+{
+    /** Keep the column when the coin is below this; all-ones for a
+     * column that is never (bar a 2^-64 coin) redirected. */
+    std::uint64_t threshold = ~std::uint64_t{0};
+    /** Column drawn otherwise; a column's own index until paired. */
+    std::size_t alias = 0;
+};
+
+/** @p prob × 2^64 as a threshold; prob ≥ 1 maps to all-ones. */
+std::uint64_t
+toThreshold(double prob)
+{
+    if (prob >= 1.0)
+        return ~std::uint64_t{0};
+    if (prob <= 0.0)
+        return 0;
+    return static_cast<std::uint64_t>(prob * 0x1p64);
+}
+
+} // namespace
 
 Pmf
 Pmf::fromDense(int num_bits, const std::vector<double> &dense,
@@ -19,35 +72,51 @@ Pmf::fromDense(int num_bits, const std::vector<double> &dense,
     Pmf pmf(num_bits);
     for (std::uint64_t x = 0; x < dense.size(); ++x)
         if (dense[x] > prune)
-            pmf.probs_[x] = dense[x];
+            pmf.entries_.push_back({x, dense[x]});
     return pmf;
 }
 
 double
 Pmf::prob(std::uint64_t outcome) const
 {
-    auto it = probs_.find(outcome);
-    return it == probs_.end() ? 0.0 : it->second;
+    auto it = std::lower_bound(entries_.begin(), entries_.end(),
+                               outcome, outcomeLess);
+    return it != entries_.end() && it->outcome == outcome ? it->p
+                                                          : 0.0;
+}
+
+Pmf::Entry &
+Pmf::slot(std::uint64_t outcome)
+{
+    // Appending in ascending order (every builder in the library)
+    // skips the search.
+    if (entries_.empty() || entries_.back().outcome < outcome)
+        return entries_.emplace_back(Entry{outcome, 0.0});
+    auto it = std::lower_bound(entries_.begin(), entries_.end(),
+                               outcome, outcomeLess);
+    if (it->outcome != outcome)
+        it = entries_.insert(it, Entry{outcome, 0.0});
+    return *it;
 }
 
 void
 Pmf::set(std::uint64_t outcome, double p)
 {
-    probs_[outcome] = p;
+    slot(outcome).p = p;
 }
 
 void
 Pmf::accumulate(std::uint64_t outcome, double p)
 {
-    probs_[outcome] += p;
+    slot(outcome).p += p;
 }
 
 double
 Pmf::totalMass() const
 {
     double total = 0.0;
-    for (const auto &[outcome, p] : probs_)
-        total += p;
+    for (const Entry &e : entries_)
+        total += e.p;
     return total;
 }
 
@@ -58,8 +127,8 @@ Pmf::normalize()
     if (total <= 0.0)
         return;
     const double inv = 1.0 / total;
-    for (auto &[outcome, p] : probs_)
-        p *= inv;
+    for (Entry &e : entries_)
+        e.p *= inv;
 }
 
 std::vector<double>
@@ -68,8 +137,8 @@ Pmf::toDense() const
     if (numBits_ > 30)
         panic("Pmf::toDense: too many bits for dense expansion");
     std::vector<double> dense(1ull << numBits_, 0.0);
-    for (const auto &[outcome, p] : probs_)
-        dense[outcome] += p;
+    for (const Entry &e : entries_)
+        dense[e.outcome] += e.p;
     return dense;
 }
 
@@ -77,8 +146,24 @@ Pmf
 Pmf::marginal(const std::vector<int> &positions) const
 {
     Pmf out(static_cast<int>(positions.size()));
-    for (const auto &[outcome, p] : probs_)
-        out.accumulate(gatherBits(outcome, positions), p);
+    std::vector<Entry> &gathered = out.entries_;
+    gathered.reserve(entries_.size());
+    for (const Entry &e : entries_)
+        gathered.push_back({gatherBits(e.outcome, positions), e.p});
+    // Stable, so the entries that gather to one outcome keep their
+    // source order and each merged sum runs in outcome order.
+    std::stable_sort(gathered.begin(), gathered.end(),
+                     [](const Entry &a, const Entry &b) {
+                         return a.outcome < b.outcome;
+                     });
+    std::size_t kept = 0;
+    for (const Entry &e : gathered) {
+        if (kept > 0 && gathered[kept - 1].outcome == e.outcome)
+            gathered[kept - 1].p += e.p;
+        else
+            gathered[kept++] = e;
+    }
+    gathered.resize(kept);
     return out;
 }
 
@@ -86,47 +171,84 @@ double
 Pmf::expectationParity(std::uint64_t mask) const
 {
     double e = 0.0;
-    for (const auto &[outcome, p] : probs_)
-        e += p * paritySign(outcome & mask);
+    for (const Entry &entry : entries_)
+        e += entry.p * paritySign(entry.outcome & mask);
     return e;
 }
 
-Counts
+Pmf
 Pmf::sample(Rng &rng, std::uint64_t shots) const
 {
-    Counts counts(numBits_);
-    if (probs_.empty())
-        return counts;
+    Pmf out(numBits_);
+    if (shots == 0)
+        return out;
 
-    // Build a cumulative table once; per-shot lookup is a binary
-    // search. This dominates runtime for high-shot experiments, so
-    // keep the hot loop allocation-free.
-    std::vector<std::uint64_t> outcomes;
-    std::vector<double> cumulative;
-    outcomes.reserve(probs_.size());
-    cumulative.reserve(probs_.size());
-    double running = 0.0;
-    for (const auto &[outcome, p] : probs_) {
-        if (p <= 0.0)
+    // Columns are the entries with p > 0, in outcome order.
+    std::vector<std::size_t> source;
+    source.reserve(entries_.size());
+    double total = 0.0;
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+        if (entries_[i].p <= 0.0)
             continue;
-        running += p;
-        outcomes.push_back(outcome);
-        cumulative.push_back(running);
+        total += entries_[i].p;
+        source.push_back(i);
     }
-    if (running <= 0.0)
-        return counts;
+    const std::size_t k = source.size();
+    if (k == 0)
+        return out;
 
-    for (std::uint64_t s = 0; s < shots; ++s) {
-        const double target = rng.uniform() * running;
-        auto it = std::lower_bound(cumulative.begin(), cumulative.end(),
-                                   target);
-        std::size_t idx = static_cast<std::size_t>(
-            it - cumulative.begin());
-        if (idx >= outcomes.size())
-            idx = outcomes.size() - 1;
-        counts.add(outcomes[idx]);
+    // Vose's build: scale each column to mean 1, then repeatedly pair
+    // the last small column with the last large one. The worklists
+    // are stacks filled in column order, and the arithmetic is plain
+    // + - * /, so the table is a pure function of the entries.
+    std::vector<AliasColumn> table(k);
+    std::vector<double> scaled(k);
+    std::vector<std::size_t> small, large;
+    small.reserve(k);
+    large.reserve(k);
+    const double mean_to_one = static_cast<double>(k) / total;
+    for (std::size_t c = 0; c < k; ++c) {
+        table[c].alias = c;
+        scaled[c] = entries_[source[c]].p * mean_to_one;
+        (scaled[c] < 1.0 ? small : large).push_back(c);
     }
-    return counts;
+    while (!small.empty() && !large.empty()) {
+        const std::size_t s = small.back();
+        small.pop_back();
+        const std::size_t l = large.back();
+        large.pop_back();
+        table[s].threshold = toThreshold(scaled[s]);
+        table[s].alias = l;
+        scaled[l] = (scaled[l] + scaled[s]) - 1.0;
+        (scaled[l] < 1.0 ? small : large).push_back(l);
+    }
+    // Columns left on either list (by rounding) keep the all-ones
+    // threshold and their own index.
+
+    // One next() per shot; the product with k is exact in 128 bits,
+    // so the draw involves no floating-point rounding at all. The
+    // column/alias pick is a mask, not a branch: the coin is random,
+    // so a branch would mispredict on every mixed column.
+    std::vector<std::uint64_t> tally(k, 0);
+    for (std::uint64_t s = 0; s < shots; ++s) {
+        const unsigned __int128 wide =
+            static_cast<unsigned __int128>(rng.next()) * k;
+        const auto column = static_cast<std::size_t>(wide >> 64);
+        const auto coin = static_cast<std::uint64_t>(wide);
+        const AliasColumn &col = table[column];
+        const std::size_t to_alias =
+            std::size_t{0} - static_cast<std::size_t>(coin >= col.threshold);
+        ++tally[column ^ ((column ^ col.alias) & to_alias)];
+    }
+
+    // Column order is outcome order, so the result is born sorted.
+    const auto n = static_cast<double>(shots);
+    for (std::size_t c = 0; c < k; ++c)
+        if (tally[c] != 0)
+            out.entries_.push_back(
+                {entries_[source[c]].outcome,
+                 static_cast<double>(tally[c]) / n});
+    return out;
 }
 
 std::uint64_t
@@ -134,10 +256,10 @@ Pmf::argmax() const
 {
     std::uint64_t best = 0;
     double best_p = -1.0;
-    for (const auto &[outcome, p] : probs_) {
-        if (p > best_p) {
-            best_p = p;
-            best = outcome;
+    for (const Entry &e : entries_) {
+        if (e.p > best_p) {
+            best_p = e.p;
+            best = e.outcome;
         }
     }
     return best;
@@ -147,11 +269,8 @@ double
 Pmf::tvDistance(const Pmf &a, const Pmf &b)
 {
     double d = 0.0;
-    for (const auto &[outcome, p] : a.probs_)
-        d += std::abs(p - b.prob(outcome));
-    for (const auto &[outcome, p] : b.probs_)
-        if (a.probs_.find(outcome) == a.probs_.end())
-            d += std::abs(p);
+    mergeJoin(a.entries_, b.entries_,
+              [&](double pa, double pb) { d += std::abs(pa - pb); });
     return 0.5 * d;
 }
 
@@ -159,11 +278,10 @@ double
 Pmf::fidelity(const Pmf &a, const Pmf &b)
 {
     double bc = 0.0;
-    for (const auto &[outcome, p] : a.probs_) {
-        const double q = b.prob(outcome);
-        if (p > 0.0 && q > 0.0)
-            bc += std::sqrt(p * q);
-    }
+    mergeJoin(a.entries_, b.entries_, [&](double pa, double pb) {
+        if (pa > 0.0 && pb > 0.0)
+            bc += std::sqrt(pa * pb);
+    });
     return bc * bc;
 }
 
@@ -172,6 +290,22 @@ Pmf::hellingerDistance(const Pmf &a, const Pmf &b)
 {
     const double bc = std::sqrt(fidelity(a, b));
     return std::sqrt(std::max(0.0, 1.0 - bc));
+}
+
+std::ostream &
+operator<<(std::ostream &os, const Pmf &pmf)
+{
+    // Round-trip precision, so a one-ulp difference shows.
+    const std::streamsize precision = os.precision(17);
+    os << "Pmf(" << pmf.numBits() << " bits){";
+    const char *sep = "";
+    for (const Pmf::Entry &e : pmf.entries()) {
+        os << sep << e.outcome << ": " << e.p;
+        sep = ", ";
+    }
+    os << '}';
+    os.precision(precision);
+    return os;
 }
 
 } // namespace varsaw

@@ -1,34 +1,45 @@
 /**
  * @file
- * Sparse probability mass functions over measurement outcomes.
+ * Probability mass functions over measurement outcomes.
  *
  * Pmf is the central currency of the mitigation pipeline: circuit
- * execution produces a Pmf (via Counts), JigSaw subsets produce
- * marginal (local) Pmfs, and Bayesian reconstruction rewrites a
- * global Pmf to agree with the local ones.
+ * execution produces a Pmf (the empirical distribution of its shots),
+ * JigSaw subsets produce marginal (local) Pmfs, and Bayesian
+ * reconstruction rewrites a global Pmf to agree with the local ones.
  *
  * Outcomes are packed words: bit i corresponds to measured qubit
- * slot i. Storage is sparse (hash map), which matches both sampled
- * histograms (support bounded by shot count) and the small dense
- * distributions produced by exact simulation.
+ * slot i. Storage is one flat vector of (outcome, p) entries kept
+ * sorted by outcome, which matches both sampled histograms (support
+ * bounded by shot count) and the small dense distributions produced
+ * by exact simulation. Every sum, scan and draw walks the entries in
+ * that order, so no result depends on a container's hashing or
+ * insertion history.
  */
 
 #ifndef VARSAW_UTIL_PMF_HH
 #define VARSAW_UTIL_PMF_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <iosfwd>
 #include <vector>
 
 namespace varsaw {
 
 class Rng;
-class Counts;
 
-/** Sparse probability mass function over packed bit-string outcomes. */
+/** Probability mass function over packed bit-string outcomes. */
 class Pmf
 {
   public:
+    /** One support point. */
+    struct Entry
+    {
+        std::uint64_t outcome = 0;
+        double p = 0.0;
+
+        bool operator==(const Entry &) const = default;
+    };
+
     Pmf() = default;
 
     /** Construct an all-zero PMF over @p num_bits measured bits. */
@@ -38,8 +49,8 @@ class Pmf
      * Construct from a dense probability vector.
      *
      * @param num_bits Number of measured bits.
-     * @param dense    Vector of length 2^num_bits; entries below
-     *                 @p prune are dropped from the sparse support.
+     * @param dense    Vector of length 2^num_bits; entries not above
+     *                 @p prune are dropped from the support.
      */
     static Pmf fromDense(int num_bits, const std::vector<double> &dense,
                          double prune = 0.0);
@@ -57,13 +68,28 @@ class Pmf
     void accumulate(std::uint64_t outcome, double p);
 
     /** Number of outcomes in the support. */
-    std::size_t supportSize() const { return probs_.size(); }
+    std::size_t supportSize() const { return entries_.size(); }
+
+    /** The support, sorted by ascending outcome. */
+    const std::vector<Entry> &entries() const { return entries_; }
 
     /** Sum of all stored probabilities. */
     double totalMass() const;
 
     /** Rescale so the total mass is 1 (no-op on an empty PMF). */
     void normalize();
+
+    /**
+     * Multiply every probability by @p factor(outcome), in outcome
+     * order. The support and its order are left unchanged.
+     */
+    template <typename Factor>
+    void
+    scale(Factor &&factor)
+    {
+        for (Entry &e : entries_)
+            e.p *= factor(e.outcome);
+    }
 
     /** Expand into a dense vector of length 2^numBits. */
     std::vector<double> toDense() const;
@@ -84,10 +110,19 @@ class Pmf
      */
     double expectationParity(std::uint64_t mask) const;
 
-    /** Sample @p shots outcomes into a Counts histogram. */
-    Counts sample(Rng &rng, std::uint64_t shots) const;
+    /**
+     * Draw @p shots outcomes and return their empirical distribution:
+     * count / shots for every outcome drawn at least once.
+     *
+     * Sampling contract v2 (the bits every determinism gate pins):
+     * a Walker/Vose alias table over the entries with p > 0, in
+     * outcome order; one Rng::next() per shot, whose 128-bit product
+     * with the column count gives the column (high word) and the
+     * integer coin against the column's threshold (low word).
+     */
+    Pmf sample(Rng &rng, std::uint64_t shots) const;
 
-    /** Most probable outcome (0 for an empty PMF). */
+    /** Most probable outcome (lowest on ties; 0 for an empty PMF). */
     std::uint64_t argmax() const;
 
     /** Total variation distance to another PMF on the same bits. */
@@ -102,24 +137,21 @@ class Pmf
     /** Hellinger distance: sqrt(1 - sqrt(fidelity)). */
     static double hellingerDistance(const Pmf &a, const Pmf &b);
 
-    /** Read-only access to the sparse support. */
-    const std::unordered_map<std::uint64_t, double> &
-    raw() const
-    {
-        return probs_;
-    }
-
-    /** Mutable access for in-place reweighting (reconstruction). */
-    std::unordered_map<std::uint64_t, double> &
-    rawMutable()
-    {
-        return probs_;
-    }
+    /** Exact equality: same width, same support, and probabilities
+     *  equal under double ==. */
+    bool operator==(const Pmf &) const = default;
 
   private:
+    /** The entry for @p outcome, inserted at p = 0 if absent. */
+    Entry &slot(std::uint64_t outcome);
+
     int numBits_ = 0;
-    std::unordered_map<std::uint64_t, double> probs_;
+    std::vector<Entry> entries_;
 };
+
+/** Print as `Pmf(<bits> bits){outcome: p, ...}` at round-trip
+ *  precision (test diagnostics). */
+std::ostream &operator<<(std::ostream &os, const Pmf &pmf);
 
 } // namespace varsaw
 

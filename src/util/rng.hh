@@ -29,8 +29,23 @@ class Rng
     /** Construct from a 64-bit seed (expanded via splitmix64). */
     explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
 
-    /** Next raw 64-bit value. */
-    std::uint64_t next();
+    /** Next raw 64-bit value (inline: shot sampling calls it once
+     *  per shot). */
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
     double uniform();
@@ -73,6 +88,12 @@ class Rng
     static Rng forStream(std::uint64_t seed, std::uint64_t stream);
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
     bool hasCachedNormal_ = false;
     double cachedNormal_ = 0.0;

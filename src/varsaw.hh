@@ -11,7 +11,6 @@
 
 // Utilities
 #include "util/bitops.hh"
-#include "util/counts.hh"
 #include "util/csv.hh"
 #include "util/logging.hh"
 #include "util/pmf.hh"

@@ -182,8 +182,8 @@ TEST_P(BayesianPositivity, NonNegativeNormalizedOutput)
     }
 
     Pmf out = bayesianReconstruct(global, locals, 2);
-    for (const auto &[outcome, p] : out.raw())
-        EXPECT_GE(p, 0.0);
+    for (const Pmf::Entry &e : out.entries())
+        EXPECT_GE(e.p, 0.0);
     EXPECT_NEAR(out.totalMass(), 1.0, 1e-9);
 }
 

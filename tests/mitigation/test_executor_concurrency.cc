@@ -72,11 +72,8 @@ TEST(ExecutorConcurrency, SameStreamSameResultAcrossThreads)
     for (auto &thread : threads)
         thread.join();
 
-    for (const Pmf &pmf : results) {
-        ASSERT_EQ(pmf.raw().size(), reference.raw().size());
-        for (const auto &[outcome, p] : reference.raw())
-            EXPECT_EQ(pmf.prob(outcome), p);
-    }
+    for (const Pmf &pmf : results)
+        EXPECT_EQ(pmf, reference);
 }
 
 TEST(ExecutorConcurrency, DistinctStreamsAreIndependent)

@@ -76,8 +76,8 @@ TEST(M3, OutputNormalizedNonNegative)
     measured.set(0b10, 0.45);
     measured.set(0b11, 0.05);
     Pmf out = m3.apply(measured);
-    for (const auto &[outcome, p] : out.raw())
-        EXPECT_GE(p, 0.0);
+    for (const Pmf::Entry &e : out.entries())
+        EXPECT_GE(e.p, 0.0);
     EXPECT_NEAR(out.totalMass(), 1.0, 1e-12);
 }
 

@@ -84,8 +84,8 @@ TEST(Mbm, OutputIsNonNegativeAndNormalized)
     measured.set(0b10, 0.49);
     measured.set(0b11, 0.01);
     Pmf out = cal.apply(measured);
-    for (const auto &[outcome, p] : out.raw())
-        EXPECT_GE(p, 0.0);
+    for (const Pmf::Entry &e : out.entries())
+        EXPECT_GE(e.p, 0.0);
     EXPECT_NEAR(out.totalMass(), 1.0, 1e-12);
 }
 

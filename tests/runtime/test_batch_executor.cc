@@ -19,21 +19,6 @@
 namespace varsaw {
 namespace {
 
-/** Exact (bitwise) equality of two PMFs. */
-void
-expectBitIdentical(const Pmf &a, const Pmf &b)
-{
-    ASSERT_EQ(a.numBits(), b.numBits());
-    ASSERT_EQ(a.raw().size(), b.raw().size());
-    for (const auto &[outcome, p] : a.raw()) {
-        auto it = b.raw().find(outcome);
-        ASSERT_NE(it, b.raw().end()) << "outcome " << outcome;
-        // Exact double equality on purpose: the runtime promises
-        // bit-identical results across thread counts.
-        EXPECT_EQ(p, it->second) << "outcome " << outcome;
-    }
-}
-
 /**
  * A fixed-seed TFIM workload shaped like one VarSaw tick: every
  * basis's Global plus the shared subset circuits, with shots.
@@ -75,7 +60,7 @@ TEST(BatchExecutor, ParallelBitIdenticalToSerialOnTfim)
 
     ASSERT_EQ(serial_results.size(), parallel_results.size());
     for (std::size_t i = 0; i < serial_results.size(); ++i)
-        expectBitIdentical(serial_results[i], parallel_results[i]);
+        EXPECT_EQ(serial_results[i], parallel_results[i]);
 }
 
 TEST(BatchExecutor, TrajectoryNoiseAlsoDeterministic)
@@ -97,7 +82,7 @@ TEST(BatchExecutor, TrajectoryNoiseAlsoDeterministic)
     const auto ra = serial.run(batch);
     const auto rb = parallel.run(batch);
     for (std::size_t i = 0; i < ra.size(); ++i)
-        expectBitIdentical(ra[i], rb[i]);
+        EXPECT_EQ(ra[i], rb[i]);
 }
 
 TEST(BatchExecutor, FuturesAlignWithJobIndices)
@@ -164,7 +149,7 @@ TEST(BatchExecutor, CacheDedupesIdenticalJobsWithinABatch)
     EXPECT_EQ(runtime.cacheStats().hits, 9u);
     EXPECT_EQ(runtime.cacheStats().shotsSaved, 9u * 256u);
     for (std::size_t i = 1; i < results.size(); ++i)
-        expectBitIdentical(results[0], results[i]);
+        EXPECT_EQ(results[0], results[i]);
 }
 
 TEST(BatchExecutor, CachedDuplicatesDeterministicUnderThreads)
@@ -194,7 +179,7 @@ TEST(BatchExecutor, CachedDuplicatesDeterministicUnderThreads)
     const auto parallel_results = parallel.run(batch);
 
     for (std::size_t i = 0; i < parallel_results.size(); ++i)
-        expectBitIdentical(serial_results[0], parallel_results[i]);
+        EXPECT_EQ(serial_results[0], parallel_results[i]);
     EXPECT_EQ(serial_exec.circuitsExecuted(), 1u);
     EXPECT_EQ(parallel_exec.circuitsExecuted(), 1u);
     EXPECT_EQ(parallel.cacheStats().hits, 31u);
@@ -271,7 +256,7 @@ TEST(PrefixScheduler, MultiPrepBatchDeterministicAcrossPlacement)
         EXPECT_EQ(prep_sims, preps.size()) << threads;
         ASSERT_EQ(got.size(), reference.size());
         for (std::size_t i = 0; i < got.size(); ++i)
-            expectBitIdentical(reference[i], got[i]);
+            EXPECT_EQ(reference[i], got[i]);
     }
 }
 

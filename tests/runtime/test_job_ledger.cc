@@ -59,7 +59,7 @@ TEST(JobLedger, MissThenHit)
     // The primary's future IS the cached result.
     auto hit = ledger.claim(key, job.shots);
     ASSERT_TRUE(hit.duplicate());
-    EXPECT_EQ(hit.primary.get().raw(), result.raw());
+    EXPECT_EQ(hit.primary.get(), result);
     EXPECT_EQ(exec.circuitsExecuted(), 1u);
 
     const CacheStats stats = ledger.stats();
@@ -216,7 +216,7 @@ TEST(JobLedger, ResidentResultsEqualInsertionsMinusEvictions)
     const auto e_claim = claim(e); // evicts c
     const auto f_claim = claim(f); // evicts in-flight d
     const Pmf d_result = execute(d, d_claim);
-    EXPECT_EQ(d_dup.primary.get().raw(), d_result.raw());
+    EXPECT_EQ(d_dup.primary.get(), d_result);
     EXPECT_EQ(ledger.stats().insertions, 3u);
     EXPECT_EQ(resident(), 0u);
 

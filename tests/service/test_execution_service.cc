@@ -43,19 +43,6 @@
 namespace varsaw {
 namespace {
 
-/** Exact (bitwise) equality of two PMFs. */
-void
-expectBitIdentical(const Pmf &a, const Pmf &b)
-{
-    ASSERT_EQ(a.numBits(), b.numBits());
-    ASSERT_EQ(a.raw().size(), b.raw().size());
-    for (const auto &[outcome, p] : a.raw()) {
-        auto it = b.raw().find(outcome);
-        ASSERT_NE(it, b.raw().end()) << "outcome " << outcome;
-        EXPECT_EQ(p, it->second) << "outcome " << outcome;
-    }
-}
-
 /** A prefix-sharing workload: per-basis Globals over one ansatz. */
 Batch
 basisWorkload(const std::shared_ptr<const Circuit> &prep,
@@ -104,7 +91,7 @@ TEST(ExecutionService, CrossSessionDedupeExecutesOnce)
 
     ASSERT_EQ(ra.size(), rb.size());
     for (std::size_t i = 0; i < ra.size(); ++i)
-        expectBitIdentical(ra[i], rb[i]);
+        EXPECT_EQ(ra[i], rb[i]);
 }
 
 TEST(ExecutionService, BitIdenticalToPrivateRuntimes)
@@ -152,9 +139,9 @@ TEST(ExecutionService, BitIdenticalToPrivateRuntimes)
             ASSERT_EQ(got_a.size(), ref_a.size());
             ASSERT_EQ(got_b.size(), ref_b.size());
             for (std::size_t i = 0; i < ref_a.size(); ++i)
-                expectBitIdentical(ref_a[i], got_a[i]);
+                EXPECT_EQ(ref_a[i], got_a[i]);
             for (std::size_t i = 0; i < ref_b.size(); ++i)
-                expectBitIdentical(ref_b[i], got_b[i]);
+                EXPECT_EQ(ref_b[i], got_b[i]);
         }
     }
 }
@@ -212,8 +199,8 @@ TEST(ExecutionService, ConcurrentInterleavedSubmissionsDeterministic)
         for (std::size_t p = 0; p < points.size(); ++p) {
             ASSERT_EQ(got_a[p].size(), reference[p].size());
             for (std::size_t i = 0; i < reference[p].size(); ++i) {
-                expectBitIdentical(reference[p][i], got_a[p][i]);
-                expectBitIdentical(reference[p][i], got_b[p][i]);
+                EXPECT_EQ(reference[p][i], got_a[p][i]);
+                EXPECT_EQ(reference[p][i], got_b[p][i]);
             }
         }
     }
@@ -369,9 +356,9 @@ TEST(ExecutionService, PerSessionStatsAndFifoFairness)
     const auto ra = a->run(batch);
     const auto rb = b->run(batch);
     for (std::size_t i = 1; i < ra.size(); ++i)
-        expectBitIdentical(ra[0], ra[i]);
+        EXPECT_EQ(ra[0], ra[i]);
     for (std::size_t i = 0; i < rb.size(); ++i)
-        expectBitIdentical(ra[0], rb[i]);
+        EXPECT_EQ(ra[0], rb[i]);
 
     // A executed the single primary; its 7 in-batch duplicates are
     // same-session hits. B's 8 are all cross-session hits.
@@ -492,13 +479,13 @@ TEST(ExecutionService, ShutdownDrainsAndLaterSubmitsRunInline)
     auto futures = session->submit(batch);
     service.shutdown(); // drains: all admitted futures resolve
     for (std::size_t i = 0; i < futures.size(); ++i)
-        expectBitIdentical(reference[i], futures[i].get());
+        EXPECT_EQ(reference[i], futures[i].get());
     EXPECT_TRUE(service.closed());
 
     // Submissions after shutdown run inline with identical results.
     const auto after = session->run(batch);
     for (std::size_t i = 0; i < after.size(); ++i)
-        expectBitIdentical(reference[i], after[i]);
+        EXPECT_EQ(reference[i], after[i]);
 }
 
 TEST(ExecutionService, ShutdownWhileConcurrentlySubmittingIsClean)
@@ -543,7 +530,7 @@ TEST(ExecutionService, ShutdownWhileConcurrentlySubmittingIsClean)
                 const auto got = session->run(basisWorkload(
                     prep, bases, points[idx], 256));
                 for (std::size_t i = 0; i < got.size(); ++i)
-                    expectBitIdentical(reference[idx][i], got[i]);
+                    EXPECT_EQ(reference[idx][i], got[i]);
             }
             done_clients.fetch_add(1);
         };
@@ -593,13 +580,13 @@ TEST(ExecutionService, ClearSharedCachesFencesDedupeNotResults)
     const auto second = session->run(batch);
     EXPECT_EQ(exec.circuitsExecuted(), 2 * executed);
     for (std::size_t i = 0; i < first.size(); ++i)
-        expectBitIdentical(first[i], second[i]);
+        EXPECT_EQ(first[i], second[i]);
 
     // Unfenced: the next repeat is answered entirely from cache.
     const auto third = session->run(batch);
     EXPECT_EQ(exec.circuitsExecuted(), 2 * executed);
     for (std::size_t i = 0; i < first.size(); ++i)
-        expectBitIdentical(first[i], third[i]);
+        EXPECT_EQ(first[i], third[i]);
 }
 
 TEST(Executor, ExecutorsCanShareOneSimEngine)
@@ -640,7 +627,7 @@ TEST(Executor, ExecutorsCanShareOneSimEngine)
     const auto res_private = rbp.run(batch);
     ASSERT_EQ(res_private.size(), res_shared.size());
     for (std::size_t i = 0; i < res_private.size(); ++i)
-        expectBitIdentical(res_private[i], res_shared[i]);
+        EXPECT_EQ(res_private[i], res_shared[i]);
 }
 
 TEST(BatchExecutor, HotResultsSurviveTheCacheBoundary)
@@ -669,7 +656,7 @@ TEST(BatchExecutor, HotResultsSurviveTheCacheBoundary)
     for (int i = 0; i < 12; ++i) {
         // Interleave: hot key re-claimed, then a cold one-shot key.
         const Pmf again = runtime.runOne(hot, {}, 256);
-        expectBitIdentical(first, again);
+        EXPECT_EQ(first, again);
         runtime.runOne(coldCircuit(0.1 * (i + 1)), {}, 256);
     }
     // The hot key never re-executed: 12 cold executions only.

@@ -75,19 +75,6 @@ installZeroPlan()
     fault::FaultInjector::instance().resetStats();
 }
 
-/** Exact (bitwise) equality of two PMFs. */
-void
-expectBitIdentical(const Pmf &a, const Pmf &b)
-{
-    ASSERT_EQ(a.numBits(), b.numBits());
-    ASSERT_EQ(a.raw().size(), b.raw().size());
-    for (const auto &[outcome, p] : a.raw()) {
-        auto it = b.raw().find(outcome);
-        ASSERT_NE(it, b.raw().end()) << "outcome " << outcome;
-        EXPECT_EQ(p, it->second) << "outcome " << outcome;
-    }
-}
-
 /** A prefix-sharing workload: per-basis Globals over one ansatz. */
 Batch
 basisWorkload(const std::shared_ptr<const Circuit> &prep,
@@ -161,7 +148,7 @@ TEST(FaultTolerance, ZeroRatePlanIsBitIdenticalAndInjectionFree)
 
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t i = 0; i < got.size(); ++i)
-        expectBitIdentical(got[i], ref[i]);
+        EXPECT_EQ(got[i], ref[i]);
     EXPECT_EQ(fault::FaultInjector::instance().stats().total(), 0u);
     EXPECT_EQ(exec.retriesPerformed(), 0u);
     EXPECT_EQ(service.stats().quarantinedKeys, 0u);
@@ -199,7 +186,7 @@ TEST(FaultTolerance, TransientFaultsRetryToBitIdenticalResults)
 
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t i = 0; i < got.size(); ++i)
-        expectBitIdentical(got[i], ref[i]);
+        EXPECT_EQ(got[i], ref[i]);
     EXPECT_GT(exec.retriesPerformed(), 0u);
     const auto stats = fault::FaultInjector::instance().stats();
     EXPECT_GT(stats.injected[static_cast<int>(
@@ -229,7 +216,7 @@ TEST(FaultTolerance, CorruptionIsDetectedAndRetriedBitIdentical)
 
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t i = 0; i < got.size(); ++i)
-        expectBitIdentical(got[i], ref[i]);
+        EXPECT_EQ(got[i], ref[i]);
     EXPECT_GT(exec.retriesPerformed(), 0u);
     EXPECT_GT(fault::FaultInjector::instance()
                   .stats()
@@ -318,7 +305,7 @@ TEST(FaultTolerance, InvalidJobFailsItsFutureNotTheService)
     const std::vector<Pmf> ref = idealReference(good);
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t i = 0; i < got.size(); ++i)
-        expectBitIdentical(got[i], ref[i]);
+        EXPECT_EQ(got[i], ref[i]);
 }
 
 TEST(FaultTolerance, ExhaustedRetriesQuarantineThePoisonKey)
@@ -382,7 +369,7 @@ TEST(FaultTolerance, ExhaustedRetriesQuarantineThePoisonKey)
     installZeroPlan();
     const auto got = session->run(batch);
     ASSERT_EQ(got.size(), 1u);
-    expectBitIdentical(got[0], ref[0]);
+    EXPECT_EQ(got[0], ref[0]);
 }
 
 TEST(FaultTolerance, CacheInsertFailureDegradesToBypass)
@@ -405,7 +392,7 @@ TEST(FaultTolerance, CacheInsertFailureDegradesToBypass)
 
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t i = 0; i < got.size(); ++i)
-        expectBitIdentical(got[i], ref[i]);
+        EXPECT_EQ(got[i], ref[i]);
     EXPECT_GT(exec.simEngine().cache().stats().insertFailures, 0u);
     EXPECT_GT(fault::FaultInjector::instance()
                   .stats()
@@ -451,7 +438,7 @@ TEST(FaultTolerance, BackpressureShedsWithResourceExhausted)
     for (int i = 0; i < kBatches; ++i) {
         try {
             const Pmf got = futures[static_cast<std::size_t>(i)].get();
-            expectBitIdentical(got, refs[static_cast<std::size_t>(i)]);
+            EXPECT_EQ(got, refs[static_cast<std::size_t>(i)]);
             ++delivered;
         } catch (const StatusError &e) {
             EXPECT_EQ(e.code(), StatusCode::ResourceExhausted);
@@ -476,7 +463,7 @@ TEST(FaultTolerance, BackpressureShedsWithResourceExhausted)
         const auto got =
             session->run(batches[static_cast<std::size_t>(i)]);
         ASSERT_EQ(got.size(), 1u);
-        expectBitIdentical(got[0], refs[static_cast<std::size_t>(i)]);
+        EXPECT_EQ(got[0], refs[static_cast<std::size_t>(i)]);
     }
 }
 
@@ -500,7 +487,7 @@ TEST(FaultTolerance, WorkerStallDegradesToInlineExecution)
 
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t i = 0; i < got.size(); ++i)
-        expectBitIdentical(got[i], ref[i]);
+        EXPECT_EQ(got[i], ref[i]);
     // Every PRIMARY ran inline (duplicate submissions were answered
     // from the primaries' futures, as always).
     const SessionStats stats = session->stats();
@@ -535,7 +522,7 @@ TEST(FaultTolerance, LateSubmitAfterShutdownExecutesInlineCounted)
     const auto got = session->run(batch);
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t i = 0; i < got.size(); ++i)
-        expectBitIdentical(got[i], ref[i]);
+        EXPECT_EQ(got[i], ref[i]);
     // Primaries ran inline and were counted; duplicates were
     // answered from their futures as usual.
     const SessionStats stats = session->stats();
@@ -609,7 +596,7 @@ TEST(FaultTolerance, ShutdownUnderLoadWithFaultsResolvesAllFutures)
         ASSERT_EQ(errors[i], nullptr) << "batch " << i;
         ASSERT_EQ(got[i].size(), refs[i].size()) << "batch " << i;
         for (std::size_t k = 0; k < refs[i].size(); ++k)
-            expectBitIdentical(got[i][k], refs[i][k]);
+            EXPECT_EQ(got[i][k], refs[i][k]);
     }
     EXPECT_EQ(service.stats().quarantinedKeys, 0u);
     EXPECT_EQ(service.stats().shedJobs, 0u);
@@ -638,7 +625,7 @@ TEST(FaultTolerance, SessionDestroyedWhileRetriesInFlight)
 
     ASSERT_EQ(futures.size(), ref.size());
     for (std::size_t i = 0; i < futures.size(); ++i)
-        expectBitIdentical(futures[i].get(), ref[i]);
+        EXPECT_EQ(futures[i].get(), ref[i]);
     EXPECT_GT(exec.retriesPerformed(), 0u);
 }
 

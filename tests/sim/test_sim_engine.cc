@@ -263,9 +263,7 @@ TEST(ExecutorJob, PrefixedAndPlainJobsBitIdentical)
         const Pmf prefixed = exec.executeJob(
             CircuitJob{makeGlobalSuffix(basis), params, 4096, prep},
             3);
-        ASSERT_EQ(plain.raw().size(), prefixed.raw().size());
-        for (const auto &[outcome, p] : plain.raw())
-            EXPECT_EQ(prefixed.prob(outcome), p);
+        EXPECT_EQ(plain, prefixed);
     }
 }
 
@@ -283,9 +281,7 @@ TEST(ExecutorJob, TrajectoryModeHandlesPrefixedJobs)
         makeGlobalCircuit(ansatz, basis), params, 0, 9);
     const Pmf prefixed = exec.executeJob(
         CircuitJob{makeGlobalSuffix(basis), params, 0, prep}, 9);
-    ASSERT_EQ(plain.raw().size(), prefixed.raw().size());
-    for (const auto &[outcome, p] : plain.raw())
-        EXPECT_EQ(prefixed.prob(outcome), p);
+    EXPECT_EQ(plain, prefixed);
 }
 
 TEST(SimEngine, PrepWithTrailingBasisGatesSharesKeyAndMatches)

@@ -53,20 +53,6 @@ class TelemetryStateGuard
     std::size_t capacity_;
 };
 
-void
-expectBitIdentical(const Pmf &a, const Pmf &b)
-{
-    ASSERT_EQ(a.numBits(), b.numBits());
-    ASSERT_EQ(a.raw().size(), b.raw().size());
-    for (const auto &[outcome, p] : a.raw()) {
-        auto it = b.raw().find(outcome);
-        ASSERT_NE(it, b.raw().end()) << "outcome " << outcome;
-        // Exact equality on purpose: telemetry must not perturb a
-        // single result bit.
-        EXPECT_EQ(p, it->second) << "outcome " << outcome;
-    }
-}
-
 Batch
 workload(const Hamiltonian &h, const Circuit &ansatz,
          const std::vector<double> &params)
@@ -146,8 +132,8 @@ checkIdentityAcrossTelemetryModes(Runner run)
     ASSERT_EQ(off.size(), on.size());
     ASSERT_EQ(off.size(), tiny.size());
     for (std::size_t i = 0; i < off.size(); ++i) {
-        expectBitIdentical(off[i], on[i]);
-        expectBitIdentical(off[i], tiny[i]);
+        EXPECT_EQ(off[i], on[i]);
+        EXPECT_EQ(off[i], tiny[i]);
     }
 }
 

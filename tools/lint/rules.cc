@@ -456,6 +456,22 @@ unorderedNames(const std::string &text)
     return out;
 }
 
+/** The scanned header paired with @p f (x.hh beside x.cc), if any. */
+const SourceFile *
+pairedHeader(const Tree &tree, const SourceFile &f)
+{
+    const std::string cc = ".cc";
+    if (f.path.size() <= cc.size() ||
+        f.path.compare(f.path.size() - cc.size(), cc.size(), cc) != 0)
+        return nullptr;
+    const std::string hh =
+        f.path.substr(0, f.path.size() - cc.size()) + ".hh";
+    for (const SourceFile &h : tree.files)
+        if (h.path == hh)
+            return &h;
+    return nullptr;
+}
+
 void
 ruleUnorderedIter(const Manifest &m, const Tree &tree,
                   std::vector<Finding> &findings)
@@ -466,8 +482,16 @@ ruleUnorderedIter(const Manifest &m, const Tree &tree,
     const auto dirs = m.list("rule." + id, "dirs");
 
     for (const SourceFile *f : tree.under(dirs)) {
-        for (const std::string &name :
-             unorderedNames(f->stripped)) {
+        // A member declared in x.hh is usually iterated in x.cc.
+        std::vector<std::string> names = unorderedNames(f->stripped);
+        if (const SourceFile *h = pairedHeader(tree, *f)) {
+            const auto declared = unorderedNames(h->stripped);
+            names.insert(names.end(), declared.begin(), declared.end());
+            std::sort(names.begin(), names.end());
+            names.erase(std::unique(names.begin(), names.end()),
+                        names.end());
+        }
+        for (const std::string &name : names) {
             for (std::size_t pos :
                  findIdent(f->stripped, name)) {
                 // Range-for: `: name)` — walk left over spaces.
