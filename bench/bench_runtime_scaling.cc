@@ -3,35 +3,39 @@
  * Runtime scaling, in three parts.
  *
  * Part 1 — batched-execution throughput (circuits/sec) and
- * dedupe-ledger hit rate vs worker thread count {1, 2, 4, 8} on a
+ * dedupe-ledger hit rate vs batch worker count {1, 2, 4, 8} on a
  * fig8-style TFIM workload (per-tick VarSaw batches: shared subset
  * circuits plus one Global per reduced basis, repeated over
  * optimizer-style parameter points with SPSA-like double probes).
- * Expected shape: no scaling — measured 0.6-0.8x of the 1-worker
- * rate at 2, 4 and 8 workers on a 4-thread host (g++ 12, AVX-512).
- * A job here is a few microseconds of sampling, so hand-off costs
- * more than a worker saves: batch workers do not scale this
- * workload yet — identical energies at every thread count, and a
- * cache hit rate reflecting the workload's redundancy.
+ * Row 1 is the serial private runtime; rows 2/4/8 are one-session
+ * ExecutionServices with that many workers (the only batch worker
+ * pool). Expected shape: no scaling — medians of 0.7x, 0.9x and
+ * 1.0x of the serial rate at 2, 4 and 8 workers (10 runs at
+ * VARSAW_BENCH_TICKS=200 on a 4-thread host, g++ 12, AVX-512;
+ * single runs 0.6-1.1x). A job here is a few microseconds of
+ * sampling, so hand-off costs about what a worker saves: batch
+ * workers do not scale this workload yet — identical energies at
+ * every worker count, and a cache hit rate reflecting the
+ * workload's redundancy.
  *
  * Part 2 — shared service vs per-estimator runtimes: two concurrent
  * estimators (VarSaw + Baseline) over ONE overlapping Hamiltonian
  * evaluate the same optimizer trajectory from two client threads,
- * once on private per-estimator BatchExecutors (split thread
- * budget) and once as sessions of one ExecutionService (shared
- * scheduler + shared caches). Every per-tick Global circuit is
- * identical work in the two estimators, so the service's
- * cross-session dedupe executes it once. Expected shape: identical
+ * once on serial private per-estimator BatchExecutors and once as
+ * sessions of one 4-worker ExecutionService (shared scheduler +
+ * shared caches). Every per-tick Global circuit is identical work
+ * in the two estimators, so the service's cross-session dedupe
+ * executes it once. Expected shape: identical
  * (bit-for-bit) summed energies in both modes, nonzero
  * cross-session hits, fewer backend executions and lower wall time
  * for the shared mode. CSV: bench_runtime_scaling.csv (part 1) and
  * bench_runtime_scaling_shared.csv (part 2).
  *
  * Part 3 — graceful degradation under injected faults: the part-1
- * workload re-runs at 4 threads under seeded fault plans with
- * transient-failure rates {0, 1%, 5%, 20%} (plus latency spikes at
- * half the rate, burst 2 < 5 retries, so every job converges
- * through the bounded retry loop). Expected shape: wall time
+ * workload re-runs on a 4-worker service under seeded fault plans
+ * with transient-failure rates {0, 1%, 5%, 20%} (plus latency
+ * spikes at half the rate, burst 2 < 5 retries, so every job
+ * converges through the bounded retry loop). Expected shape: wall time
  * degrades smoothly with the fault rate while result checksums AND
  * executed-circuit counts stay EXACTLY constant — injected
  * transients fail before the backend runs, and the surviving
@@ -39,11 +43,12 @@
  * run. CSV: bench_runtime_scaling_faults.csv, including the
  * service.retries / service.faults.* registry deltas per rate.
  *
- * VARSAW_BENCH_CHECK=1 gates part 2 (cross-session hits > 0 and
- * bit-identical energies between the modes) and part 3 (checksums
- * and cost counters identical across every fault rate; retries
- * observed at the highest rate; registry retry counter equal to the
- * executor's own count).
+ * VARSAW_BENCH_CHECK=1 gates part 2 (cross-session hits > 0, fewer
+ * executed circuits in shared mode, and bit-identical energies
+ * between the modes) and part 3 (checksums and cost counters
+ * identical across every fault rate; retries observed at the
+ * highest rate; registry retry counter equal to the executor's own
+ * count).
  *
  * Knobs: VARSAW_BENCH_TICKS (parameter points), VARSAW_BENCH_SHOTS,
  * VARSAW_FAULT_SEED (part-3 fault plan seed).
@@ -93,7 +98,7 @@ tickBatch(const SpatialPlan &plan, const Circuit &ansatz,
 
 struct Measurement
 {
-    int threads = 0;
+    int workers = 0;
     double seconds = 0.0;
     std::uint64_t circuitsSubmitted = 0;
     std::uint64_t circuitsExecuted = 0;
@@ -102,36 +107,47 @@ struct Measurement
     double checksum = 0.0; //!< sum over all result PMFs, for identity
 };
 
+/**
+ * Run the tick workload on @p workers batch workers: the serial
+ * private runtime at 1, otherwise one session of an ExecutionService
+ * with that many workers (the only batch worker pool).
+ */
 Measurement
-measure(int threads, const SpatialPlan &plan, const Circuit &ansatz,
+measure(int workers, const SpatialPlan &plan, const Circuit &ansatz,
         const std::vector<std::vector<double>> &points,
         std::uint64_t shots, const DeviceModel &device)
 {
     NoisyExecutor exec(device, GateNoiseMode::AnalyticDepolarizing,
                        1234);
+    std::unique_ptr<ExecutionService> service;
+    if (workers > 1) {
+        ServiceConfig sc;
+        sc.threads = workers;
+        service = std::make_unique<ExecutionService>(exec, sc);
+    }
     RuntimeConfig config;
-    config.threads = threads;
     config.cacheResults = true;
-    BatchExecutor runtime(exec, config);
+    config.service = service.get();
+    const auto runtime = makeSubmitter(exec, config);
 
     Measurement m;
-    m.threads = threads;
+    m.workers = workers;
     Stopwatch watch;
     for (const auto &params : points) {
         // SPSA-style double probe: the second evaluation at the same
         // point is pure temporal redundancy for the cache.
         for (int probe = 0; probe < 2; ++probe) {
             const auto results =
-                runtime.run(tickBatch(plan, ansatz, params, shots));
+                runtime->run(tickBatch(plan, ansatz, params, shots));
             for (const auto &pmf : results)
                 m.checksum += pmf.prob(0);
         }
     }
     m.seconds = watch.seconds();
-    m.circuitsSubmitted = runtime.jobsSubmitted();
+    m.circuitsSubmitted = runtime->jobsSubmitted();
     m.circuitsExecuted = exec.circuitsExecuted();
     m.retries = exec.retriesPerformed();
-    m.hitRate = runtime.cacheStats().hitRate();
+    m.hitRate = runtime->cacheStats().hitRate();
     return m;
 }
 
@@ -161,13 +177,13 @@ counterValue(const char *name)
 /**
  * Run the two-estimator workload in one mode. @p shared routes both
  * estimators onto sessions of one ExecutionService with
- * @p total_threads workers; otherwise each gets a private
- * BatchExecutor with half the thread budget. One backend executor
- * (fixed seed) either way, so the content-derived streams make the
- * energies bit-identical across modes.
+ * @p service_threads workers; otherwise each gets a serial private
+ * BatchExecutor, run from its own client thread. One backend
+ * executor (fixed seed) either way, so the content-derived streams
+ * make the energies bit-identical across modes.
  */
 SharedModeResult
-measureSharedMode(bool shared, int total_threads,
+measureSharedMode(bool shared, int service_threads,
                   const Hamiltonian &h, const Circuit &ansatz,
                   const std::vector<std::vector<double>> &points,
                   std::uint64_t shots, const DeviceModel &device)
@@ -177,7 +193,7 @@ measureSharedMode(bool shared, int total_threads,
     std::unique_ptr<ExecutionService> service;
     if (shared) {
         ServiceConfig sc;
-        sc.threads = total_threads;
+        sc.threads = service_threads;
         service = std::make_unique<ExecutionService>(exec, sc);
     }
 
@@ -185,8 +201,6 @@ measureSharedMode(bool shared, int total_threads,
     vconfig.subsetShots = shots;
     vconfig.globalShots = 2 * shots;
     vconfig.runtime.cacheResults = true;
-    vconfig.runtime.threads =
-        shared ? 1 : std::max(1, total_threads / 2);
     vconfig.runtime.service = service.get();
     VarsawEstimator varsaw(h, ansatz, exec, vconfig);
     // Baseline at the Global shot count: its per-basis circuits are
@@ -222,7 +236,7 @@ measureSharedMode(bool shared, int total_threads,
 }
 
 void
-runSharedServiceComparison(int total_threads, const Hamiltonian &h,
+runSharedServiceComparison(int service_threads, const Hamiltonian &h,
                            const Circuit &ansatz,
                            const std::vector<std::vector<double>>
                                &points,
@@ -230,13 +244,14 @@ runSharedServiceComparison(int total_threads, const Hamiltonian &h,
                            const DeviceModel &device)
 {
     std::printf("\nshared service vs per-estimator runtimes "
-                "(2 concurrent estimators, %d total threads)\n",
-                total_threads);
+                "(2 concurrent estimators: serial private runtimes "
+                "vs one %d-worker service)\n",
+                service_threads);
 
     const SharedModeResult priv = measureSharedMode(
-        false, total_threads, h, ansatz, points, shots, device);
+        false, service_threads, h, ansatz, points, shots, device);
     const SharedModeResult shared = measureSharedMode(
-        true, total_threads, h, ansatz, points, shots, device);
+        true, service_threads, h, ansatz, points, shots, device);
 
     TablePrinter table("Cross-estimator dedupe through one service");
     table.setHeader({"Mode", "Seconds", "Executed", "Cross hits",
@@ -259,7 +274,7 @@ runSharedServiceComparison(int total_threads, const Hamiltonian &h,
              TablePrinter::ratio(speedup)});
         csv.writeNumericRow(
             {is_shared ? 1.0 : 0.0,
-             static_cast<double>(total_threads), m.seconds,
+             static_cast<double>(service_threads), m.seconds,
              static_cast<double>(m.circuitsExecuted),
              static_cast<double>(m.crossSessionHits),
              m.varsawEnergySum, m.baselineEnergySum, speedup});
@@ -322,16 +337,17 @@ runSharedServiceComparison(int total_threads, const Hamiltonian &h,
 }
 
 /**
- * Part 3: re-run the part-1 workload at a fixed thread count under
- * seeded fault plans of increasing severity and verify graceful
- * degradation — checksums and executed-circuit counts must be
- * EXACTLY those of the fault-free run, with only wall time and the
- * retry/fault counters allowed to move. Saves and restores the
- * process-wide plan, so an externally armed VARSAW_FAULTS (the
- * chaos CI job) is back in force after the sweep.
+ * Part 3: re-run the part-1 workload on a service with @p workers
+ * workers under seeded fault plans of increasing severity and
+ * verify graceful degradation — checksums and executed-circuit
+ * counts must be EXACTLY those of the fault-free run, with only
+ * wall time and the retry/fault counters allowed to move. Saves and
+ * restores the process-wide plan, so an externally armed
+ * VARSAW_FAULTS (the chaos CI job) is back in force after the
+ * sweep.
  */
 void
-runFaultRateSweep(int threads, const SpatialPlan &plan,
+runFaultRateSweep(int workers, const SpatialPlan &plan,
                   const Circuit &ansatz,
                   const std::vector<std::vector<double>> &points,
                   std::uint64_t shots, const DeviceModel &device)
@@ -341,8 +357,9 @@ runFaultRateSweep(int threads, const SpatialPlan &plan,
     const auto fault_seed = static_cast<std::uint64_t>(
         envInt("VARSAW_FAULT_SEED", 7));
 
-    std::printf("\nfault-rate sweep (%d threads, fault seed %llu)\n",
-                threads,
+    std::printf("\nfault-rate sweep (%d-worker service, fault seed "
+                "%llu)\n",
+                workers,
                 static_cast<unsigned long long>(fault_seed));
 
     struct SweepRow
@@ -370,7 +387,7 @@ runFaultRateSweep(int threads, const SpatialPlan &plan,
         row.rate = rate;
         const std::uint64_t retries_before =
             counterValue("service.retries");
-        row.m = measure(threads, plan, ansatz, points, shots,
+        row.m = measure(workers, plan, ansatz, points, shots,
                         device);
         row.faultsInjected = inj.stats().total();
         row.metricRetries =
@@ -409,7 +426,7 @@ runFaultRateSweep(int threads, const SpatialPlan &plan,
              TablePrinter::ratio(slowdown),
              identical ? "yes" : "NO"});
         csv.writeNumericRow(
-            {row.rate, static_cast<double>(threads), row.m.seconds,
+            {row.rate, static_cast<double>(workers), row.m.seconds,
              static_cast<double>(row.m.circuitsExecuted),
              static_cast<double>(row.m.retries),
              static_cast<double>(row.faultsInjected),
@@ -480,9 +497,9 @@ main(int argc, char **argv)
     if (!parseStandardArgs(argc, argv))
         return 2;
     banner("Runtime scaling - batched execution throughput",
-           "no scaling across worker counts (measured 0.6-0.8x "
-           "at 2-8 workers on a 4-thread host); identical results "
-           "at every thread count");
+           "no scaling across worker counts (medians 0.7-1.0x of "
+           "serial at 2-8 service workers on a 4-thread host); "
+           "identical results at every worker count");
 
     const int qubits = 8;
     const Hamiltonian h = tfim(qubits, 1.0, 0.7);
@@ -510,9 +527,9 @@ main(int argc, char **argv)
     std::printf("hardware threads available: %u\n\n",
                 std::thread::hardware_concurrency());
 
-    TablePrinter table(
-        "Throughput and cache hit rate vs worker threads");
-    table.setHeader({"Threads", "Circuits", "Executed", "Seconds",
+    TablePrinter table("Throughput and cache hit rate vs batch "
+                       "workers (1 = serial private runtime)");
+    table.setHeader({"Workers", "Circuits", "Executed", "Seconds",
                      "Circuits/sec", "Speedup", "Cache hits"});
     CsvWriter csv(outPath("bench_runtime_scaling.csv"));
     csv.writeRow({"threads", "circuits_submitted",
@@ -524,21 +541,21 @@ main(int argc, char **argv)
     BenchSummary summary;
     double best_rate = 0.0;
     double last_hit_rate = 0.0;
-    for (int threads : {1, 2, 4, 8}) {
+    for (int workers : {1, 2, 4, 8}) {
         const Measurement m =
-            measure(threads, plan, ansatz.circuit(), points, shots,
+            measure(workers, plan, ansatz.circuit(), points, shots,
                     device);
         const double rate = perSecond(m.circuitsSubmitted, m.seconds);
-        if (threads == 1) {
+        if (workers == 1) {
             serial_rate = rate;
             serial_checksum = m.checksum;
         } else if (m.checksum != serial_checksum) {
-            std::printf("WARNING: results at %d threads differ from "
+            std::printf("WARNING: results at %d workers differ from "
                         "serial!\n",
-                        threads);
+                        workers);
         }
         table.addRow(
-            {TablePrinter::num(static_cast<long long>(threads)),
+            {TablePrinter::num(static_cast<long long>(workers)),
              TablePrinter::num(
                  static_cast<long long>(m.circuitsSubmitted)),
              TablePrinter::num(
@@ -549,7 +566,7 @@ main(int argc, char **argv)
                  serial_rate > 0.0 ? rate / serial_rate : 1.0),
              TablePrinter::percent(m.hitRate)});
         csv.writeNumericRow(
-            {static_cast<double>(threads),
+            {static_cast<double>(workers),
              static_cast<double>(m.circuitsSubmitted),
              static_cast<double>(m.circuitsExecuted), m.seconds,
              rate, serial_rate > 0.0 ? rate / serial_rate : 1.0,

@@ -8,8 +8,6 @@
 #include "telemetry/metrics.hh"
 #include "telemetry/profiler.hh"
 #include "telemetry/trace.hh"
-#include "util/logging.hh"
-#include "util/parallel.hh"
 #include "util/rng.hh"
 
 namespace varsaw {
@@ -21,7 +19,6 @@ struct BatchMetrics
 {
     telemetry::Counter &jobsSubmitted;
     telemetry::Counter &batchesSubmitted;
-    telemetry::Counter &inlineJobs;
 
     static BatchMetrics &
     get()
@@ -31,7 +28,6 @@ struct BatchMetrics
             reg.counter("runtime.batch_executor.jobs_submitted"),
             reg.counter(
                 "runtime.batch_executor.batches_submitted"),
-            reg.counter("runtime.batch_executor.inline_jobs"),
         };
         return *m;
     }
@@ -51,20 +47,6 @@ BatchExecutor::BatchExecutor(Executor &backend, RuntimeConfig config)
     : backend_(backend), config_(config),
       ledger_(config.cacheMaxEntries)
 {
-    if (config_.threads < 1)
-        panic("BatchExecutor: thread count must be >= 1");
-    if (config_.kernelThreads > 0)
-        setKernelThreads(config_.kernelThreads);
-}
-
-void
-BatchExecutor::ensurePool()
-{
-    if (config_.threads <= 1)
-        return;
-    std::lock_guard<std::mutex> lock(poolMutex_);
-    if (!pool_)
-        pool_ = std::make_unique<ThreadPool>(config_.threads);
 }
 
 std::vector<std::vector<std::size_t>>
@@ -280,25 +262,9 @@ BatchExecutor::submit(const Batch &batch)
         auto &m = BatchMetrics::get();
         m.batchesSubmitted.add();
         m.jobsSubmitted.add(batch.size());
-        if (config_.threads <= 1)
-            m.inlineJobs.add(batch.size());
     }
     const Admitter who{ledger_, backend_, config_.cacheResults};
-    if (config_.threads <= 1)
-        return admitInline(who, batch);
-
-    ensurePool();
-    AdmittedBatch admitted = admitChunked(
-        who, batch, static_cast<std::size_t>(config_.threads));
-    for (auto &chunk : admitted.chunks) {
-        auto shared = std::make_shared<const std::vector<PrimaryJob>>(
-            std::move(chunk));
-        pool_->enqueue([shared] {
-            for (const PrimaryJob &p : *shared)
-                p.run();
-        });
-    }
-    return std::move(admitted.futures);
+    return admitInline(who, batch);
 }
 
 } // namespace varsaw

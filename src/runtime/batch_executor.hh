@@ -1,15 +1,18 @@
 /**
  * @file
- * The batched, parallel, cached execution runtime.
+ * The private, serial, cached execution runtime.
  *
  * BatchExecutor sits between the estimators and an Executor
  * backend: estimators describe a tick's worth of circuits as a
- * Batch; the runtime runs the jobs inline or across a fixed thread
- * pool, answers repeats from its JobLedger, and returns results in
+ * Batch; the runtime runs every job inline on the submitting thread,
+ * answers repeats from its JobLedger, and returns results in
  * submission order (futures for async consumers, a plain vector for
- * the common blocking case). Per-job admission — ledger claim,
- * duplicate deferral, prefix placement — is the admitInline /
- * admitChunked core this runtime shares with the service sessions.
+ * the common blocking case). Parallel execution is the shared
+ * ExecutionService's job (RuntimeConfig::service): a one-session
+ * service is bit-identical to this runtime. Per-job admission —
+ * ledger claim, duplicate deferral, prefix placement — is the
+ * admitInline / admitChunked core this runtime shares with the
+ * service sessions.
  *
  * Determinism: every job samples from an RNG stream derived purely
  * from its content key — jobStream(makeJobKey(job)) — so a given
@@ -22,7 +25,7 @@
  * uncorrelated streams. With the cache on, the JobLedger admits one
  * primary per key (in submission order) and defers duplicates onto
  * its future, keeping backend cost counters and hit/miss statistics
- * thread-count-independent as well.
+ * worker-count-independent as well.
  */
 
 #ifndef VARSAW_RUNTIME_BATCH_EXECUTOR_HH
@@ -32,13 +35,11 @@
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "mitigation/executor.hh"
 #include "runtime/job_ledger.hh"
 #include "runtime/submitter.hh"
-#include "runtime/thread_pool.hh"
 #include "sim/state_cache.hh"
 
 namespace varsaw {
@@ -63,15 +64,6 @@ const char *latencyClassName(LatencyClass latency_class);
 /** Tunables of the execution runtime. */
 struct RuntimeConfig
 {
-    /**
-     * Worker threads. 1 (the default) runs every job inline on the
-     * submitting thread — no pool is created, and behaviour matches
-     * a plain serial loop over executeJob(). Ignored when the jobs
-     * run through a shared service (the service's workers are the
-     * thread supply).
-     */
-    int threads = 1;
-
     /** Dedupe identical submissions through the ledger. Honored
      * per session under a shared service too: a cache-off session
      * bypasses the shared ledger entirely. */
@@ -86,25 +78,13 @@ struct RuntimeConfig
     std::size_t cacheMaxEntries = 1 << 16;
 
     /**
-     * Intra-kernel threads to apply at runtime construction via
-     * setKernelThreads() (see util/parallel.hh). The kernel pool is
-     * process-wide, so this is a convenience knob rather than
-     * per-runtime state: 0 (the default) leaves the current setting
-     * untouched. Results never depend on it. Applied only when a
-     * private BatchExecutor is built — under a shared service use
-     * ServiceConfig::kernelThreads (the admission cap then shares
-     * the service's own workers, so no batchThreads x kernelThreads
-     * sizing is needed); for private runtimes keep
-     * threads * kernelThreads <= cores.
-     */
-    int kernelThreads = 0;
-
-    /**
      * Shared execution service to open a session on instead of
      * building a private runtime (see runtime/submitter.hh and
-     * src/service/execution_service.hh). Null — the default — keeps
-     * the historical estimator-owned BatchExecutor. Non-owning: the
-     * service must outlive every estimator using it.
+     * src/service/execution_service.hh). This is how an estimator
+     * gets parallel batch execution: the service's workers are the
+     * only batch worker threads. Null — the default — keeps the
+     * serial estimator-owned BatchExecutor. Non-owning: the service
+     * must outlive every estimator using it.
      */
     ExecutionBackplane *service = nullptr;
 
@@ -192,11 +172,11 @@ struct AdmittedBatch
 };
 
 /**
- * The per-job admission core of every submitter (BatchExecutor and
- * the service sessions), in submission order: job key, "enqueue"
- * trace event, and — with the cache on — a ledger claim. The
- * ledger decides whether a submission is its key's primary (the one
- * that executes) or a duplicate deferred onto the primary's future
+ * The per-job admission core of the service sessions (BatchExecutor
+ * uses its inline form, admitInline), in submission order: job key,
+ * "enqueue" trace event, and — with the cache on — a ledger claim.
+ * The ledger decides whether a submission is its key's primary (the
+ * one that executes) or a duplicate deferred onto the primary's future
  * (JobLedger::deferToPrimary). Duplicates never execute, so backend
  * cost counters and hit statistics are exact and independent of
  * worker timing; content-derived streams make WHO wins a claim
@@ -220,7 +200,7 @@ AdmittedBatch admitChunked(const Admitter &who, const Batch &batch,
 std::vector<std::future<Pmf>> admitInline(const Admitter &who,
                                           const Batch &batch);
 
-/** Batched front-end over an Executor backend. */
+/** Serial batched front-end over an Executor backend. */
 class BatchExecutor : public JobSubmitter
 {
   public:
@@ -234,9 +214,8 @@ class BatchExecutor : public JobSubmitter
 
     /**
      * Submit every job of @p batch; the returned futures are
-     * aligned with the batch's job indices. With threads == 1 the
-     * jobs run inline before this returns (admitInline); otherwise
-     * each admitChunked chunk is one pool task.
+     * aligned with the batch's job indices. The jobs run inline
+     * before this returns (admitInline), so every future is ready.
      */
     std::vector<std::future<Pmf>> submit(const Batch &batch) override;
 
@@ -257,30 +236,20 @@ class BatchExecutor : public JobSubmitter
     }
 
   private:
-    /** Create the worker pool on first parallel use. */
-    void ensurePool();
-
     Executor &backend_;
     RuntimeConfig config_;
     /**
      * Cache mode: submission-order dedupe, result store and LRU.
-     * Exactly one backend execution happens per tracked key
-     * regardless of thread timing; duplicates wait on the primary's
-     * future. Eviction past cacheMaxEntries removes the
-     * least-recently-claimed key (see runtime/job_ledger.hh) — hot
-     * keys survive, and re-executing an evicted key reproduces its
-     * result bit for bit because streams are content-derived.
+     * Exactly one backend execution happens per tracked key;
+     * duplicates defer onto the primary's future. Eviction past
+     * cacheMaxEntries removes the least-recently-claimed key (see
+     * runtime/job_ledger.hh) — hot keys survive, and re-executing an
+     * evicted key reproduces its result bit for bit because streams
+     * are content-derived.
      */
     JobLedger ledger_;
-    std::mutex poolMutex_;
     /** Jobs submitted (statistics only; streams are content-derived). */
     std::atomic<std::uint64_t> nextJobIndex_{0};
-    /**
-     * Declared last on purpose: ~ThreadPool drains and joins the
-     * workers first, so no in-flight task can touch the ledger or
-     * mutexes after they are destroyed.
-     */
-    std::unique_ptr<ThreadPool> pool_; //!< created on first submit
 };
 
 } // namespace varsaw

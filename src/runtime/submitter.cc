@@ -1,7 +1,5 @@
 #include "runtime/submitter.hh"
 
-#include <atomic>
-
 #include "runtime/batch_executor.hh"
 
 namespace varsaw {
@@ -27,32 +25,11 @@ JobSubmitter::runOne(const Circuit &circuit,
     return run(batch).front();
 }
 
-namespace {
-
-using BackplaneFactory =
-    std::unique_ptr<JobSubmitter> (*)(Executor &,
-                                      const RuntimeConfig &);
-
-std::atomic<BackplaneFactory> processBackplane{nullptr};
-
-} // namespace
-
-void
-setProcessBackplane(BackplaneFactory factory)
-{
-    processBackplane.store(factory, std::memory_order_release);
-}
-
 std::unique_ptr<JobSubmitter>
 makeSubmitter(Executor &backend, const RuntimeConfig &config)
 {
     if (config.service)
         return config.service->openSession(backend, config);
-    if (auto factory =
-            processBackplane.load(std::memory_order_acquire)) {
-        if (auto session = factory(backend, config))
-            return session;
-    }
     return std::make_unique<BatchExecutor>(backend, config);
 }
 

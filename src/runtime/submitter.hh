@@ -6,17 +6,17 @@
  * implementations exist:
  *
  *  - BatchExecutor (runtime/batch_executor.hh): the private,
- *    estimator-owned runtime — its own worker pool and ledger;
+ *    estimator-owned runtime — serial (every job runs inline on the
+ *    submitting thread) with its own ledger;
  *  - Session (src/service/execution_service.hh): a cheap handle
- *    onto the process-wide ExecutionService, sharing one scheduler
- *    and one set of caches with every other session.
+ *    onto a shared ExecutionService, whose scheduler owns every
+ *    batch worker thread and whose caches every session shares.
  *
  * Estimators hold a JobSubmitter and never know which one they got:
- * makeSubmitter() picks based on RuntimeConfig::service (and the
- * VARSAW_SHARED_SERVICE test shim). Both implementations derive
- * every job's sampling stream from its content key (jobStream), so
- * the two paths — and any mix of them — produce bit-identical
- * results for the same backend.
+ * makeSubmitter() picks based on RuntimeConfig::service. Both
+ * implementations derive every job's sampling stream from its
+ * content key (jobStream), so the two paths — and any mix of them —
+ * produce bit-identical results for the same backend.
  *
  * Layering: this header lives in runtime/ so estimators depend only
  * on runtime/; service/ implements the interface from above
@@ -100,24 +100,11 @@ class ExecutionBackplane
 
 /**
  * Build the submitter an estimator should use: a session of
- * config.service when one is set; otherwise a session of the
- * process-wide backplane when one is installed (the
- * VARSAW_SHARED_SERVICE=1 test shim routes every estimator through
- * shared services this way); otherwise a private BatchExecutor.
+ * config.service when one is set, otherwise a serial private
+ * BatchExecutor.
  */
 std::unique_ptr<JobSubmitter> makeSubmitter(Executor &backend,
                                             const RuntimeConfig &config);
-
-/**
- * Install/clear the process-wide backplane factory consulted by
- * makeSubmitter() when RuntimeConfig::service is unset. Receives
- * the backend and config; returns a session or null (null falls
- * back to a private BatchExecutor). Used by the service layer's
- * env-var shim; not a general extension point.
- */
-void setProcessBackplane(
-    std::unique_ptr<JobSubmitter> (*factory)(Executor &,
-                                             const RuntimeConfig &));
 
 } // namespace varsaw
 

@@ -1,8 +1,6 @@
 #include "service/execution_service.hh"
 
-#include <cstdlib>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 
 #include "fault/fault_injector.hh"
@@ -151,12 +149,9 @@ struct SloState
 
 // ---- Session ---------------------------------------------------------------
 
-Session::Session(ExecutionService *service,
-                 std::shared_ptr<ExecutionService> keep_alive,
-                 std::string name, bool cache_results,
-                 LatencyClass latency_class)
-    : service_(service), keepAlive_(std::move(keep_alive)),
-      name_(std::move(name)),
+Session::Session(ExecutionService *service, std::string name,
+                 bool cache_results, LatencyClass latency_class)
+    : service_(service), name_(std::move(name)),
       id_(service->nextSessionId_.fetch_add(
           1, std::memory_order_relaxed)),
       // The queue carries the session label so the scheduler can
@@ -312,20 +307,17 @@ ExecutionService::sessionStatus() const
 }
 
 std::unique_ptr<Session>
-ExecutionService::makeSession(
-    std::shared_ptr<ExecutionService> keep_alive, std::string name,
-    bool cache_results, LatencyClass latency_class)
+ExecutionService::makeSession(std::string name, bool cache_results,
+                              LatencyClass latency_class)
 {
-    return std::unique_ptr<Session>(
-        new Session(this, std::move(keep_alive), std::move(name),
-                    cache_results, latency_class));
+    return std::unique_ptr<Session>(new Session(
+        this, std::move(name), cache_results, latency_class));
 }
 
 std::unique_ptr<Session>
 ExecutionService::createSession(std::string name)
 {
-    return makeSession(nullptr, std::move(name),
-                       config_.cacheResults,
+    return makeSession(std::move(name), config_.cacheResults,
                        config_.defaultLatencyClass);
 }
 
@@ -333,8 +325,8 @@ std::unique_ptr<Session>
 ExecutionService::createSession(std::string name,
                                 LatencyClass latency_class)
 {
-    return makeSession(nullptr, std::move(name),
-                       config_.cacheResults, latency_class);
+    return makeSession(std::move(name), config_.cacheResults,
+                       latency_class);
 }
 
 std::unique_ptr<JobSubmitter>
@@ -345,19 +337,7 @@ ExecutionService::openSession(Executor &backend,
         panic("ExecutionService::openSession: the estimator's "
               "executor is not this service's backend (results are "
               "backend-specific; open one service per backend)");
-    return makeSession(nullptr, {}, config.cacheResults,
-                       config.latencyClass);
-}
-
-std::unique_ptr<Session>
-ExecutionService::openOwnedSession(
-    std::shared_ptr<ExecutionService> self,
-    const RuntimeConfig &config)
-{
-    if (self.get() != this)
-        panic("ExecutionService::openOwnedSession: self mismatch");
-    return makeSession(std::move(self), {}, config.cacheResults,
-                       config.latencyClass);
+    return makeSession({}, config.cacheResults, config.latencyClass);
 }
 
 void
@@ -553,73 +533,5 @@ ExecutionService::submitFor(Session &session, const Batch &batch)
     }
     return std::move(admitted.futures);
 }
-
-// ---- VARSAW_SHARED_SERVICE env shim ----------------------------------------
-
-namespace {
-
-/**
- * Process-wide registry backing the VARSAW_SHARED_SERVICE=1 mode:
- * every estimator constructed without an explicit service is routed
- * onto ONE shared service per backend executor. Sessions hold the
- * service by shared_ptr, so the last session of a backend tears its
- * service down and the weak entry expires; a later estimator on the
- * same (or an address-reusing) backend builds a fresh service.
- * This is how CI runs the entire suite through the service layer.
- */
-std::mutex sharedRegistryMutex;
-std::unordered_map<Executor *, std::weak_ptr<ExecutionService>>
-    sharedRegistry;
-
-std::unique_ptr<JobSubmitter>
-sharedServiceSession(Executor &backend, const RuntimeConfig &config)
-{
-    std::shared_ptr<ExecutionService> service;
-    {
-        std::lock_guard<std::mutex> lock(sharedRegistryMutex);
-        auto &slot = sharedRegistry[&backend];
-        service = slot.lock();
-        if (!service) {
-            // Service defaults throughout: auto thread count and
-            // the default shared-ledger cap. Deliberately NOT the
-            // first estimator's cacheMaxEntries — the shared cap is
-            // a service-wide property (RuntimeConfig documents the
-            // field as ignored under a service), and letting one
-            // tenant's small cap thrash every later tenant's dedupe
-            // would silently balloon circuit costs. Per-session
-            // cacheResults still comes from each estimator's
-            // RuntimeConfig below.
-            service = std::make_shared<ExecutionService>(
-                backend, ServiceConfig{});
-            slot = service;
-        }
-        // Opportunistic cleanup of expired entries (dead backends).
-        // varsaw-lint: allow(unordered-iter) order-insensitive erase of expired weak_ptrs; no result observes the walk
-        for (auto it = sharedRegistry.begin();
-             it != sharedRegistry.end();) {
-            if (it->second.expired())
-                it = sharedRegistry.erase(it);
-            else
-                ++it;
-        }
-    }
-    ExecutionService *raw = service.get();
-    return raw->openOwnedSession(std::move(service), config);
-}
-
-/** Installs the backplane hook at static-init when the env asks. */
-struct SharedServiceEnvShim
-{
-    SharedServiceEnvShim()
-    {
-        const char *env = std::getenv("VARSAW_SHARED_SERVICE");
-        if (env && env[0] == '1' && env[1] == '\0')
-            setProcessBackplane(&sharedServiceSession);
-    }
-};
-
-const SharedServiceEnvShim sharedServiceEnvShim{};
-
-} // namespace
 
 } // namespace varsaw

@@ -1,21 +1,16 @@
 /**
  * @file
- * The shared execution service: one process-wide scheduler, shared
- * caches, multi-tenant sessions.
+ * The shared execution service: one scheduler, shared caches,
+ * multi-tenant sessions.
  *
- * Before this layer, every estimator owned a private BatchExecutor
- * — its own worker pool, its own JobLedger — so
- * SelectiveVarsawEstimator's heavy/light halves, a ZNE wrapper over
- * a baseline, or two concurrent clients re-executed identical jobs
- * and competed for cores. The ExecutionService inverts the
- * ownership: ONE service per backend owns the worker supply (a
+ * ONE service per backend owns the batch worker supply (a
  * ServiceScheduler whose threads also serve as the kernel-helper
- * pool) and the shared dedupe state (one JobLedger across all
- * tenants, plus the backend SimEngine's StateCache,
- * which all sessions share by construction). Estimators and
- * external clients hold cheap Session handles and submit batches
- * through them; identical (prep, suffix, params, shots) work
- * submitted by DIFFERENT sessions executes once.
+ * pool; private BatchExecutors are serial) and the shared dedupe
+ * state (one JobLedger across all tenants, plus the backend
+ * SimEngine's StateCache, which all sessions share by
+ * construction). Estimators and external clients hold cheap Session
+ * handles and submit batches through them; identical (prep, suffix,
+ * params, shots) work submitted by DIFFERENT sessions executes once.
  *
  * Determinism contract: every job's sampling stream is derived from
  * its content key (see jobStream), so a job's result is a pure
@@ -194,8 +189,7 @@ struct ServiceStats
  * JobSubmitter, so estimators use it exactly like a private
  * BatchExecutor. Cheap to create; destroy to release the session's
  * admission queue (tasks already admitted still run). Must not
- * outlive the service unless it was opened through the owning
- * (shared_ptr) path.
+ * outlive the service.
  */
 class Session : public JobSubmitter
 {
@@ -239,15 +233,10 @@ class Session : public JobSubmitter
   private:
     friend class ExecutionService;
 
-    Session(ExecutionService *service,
-            std::shared_ptr<ExecutionService> keep_alive,
-            std::string name, bool cache_results,
-            LatencyClass latency_class);
+    Session(ExecutionService *service, std::string name,
+            bool cache_results, LatencyClass latency_class);
 
     ExecutionService *service_;
-    /** Set on the owning path (env shim): the last session keeps
-     * the service alive. */
-    std::shared_ptr<ExecutionService> keepAlive_;
     std::string name_;
     std::uint64_t id_;
     std::uint64_t queue_;
@@ -298,21 +287,11 @@ class ExecutionService : public ExecutionBackplane
     /**
      * ExecutionBackplane: open a session for an estimator.
      * @p backend must be THIS service's backend. Honors
-     * config.cacheResults per session; config.threads is ignored (the service's workers are
-     * the thread supply).
+     * config.cacheResults and config.latencyClass per session.
      */
     std::unique_ptr<JobSubmitter>
     openSession(Executor &backend,
                 const RuntimeConfig &config) override;
-
-    /**
-     * Owning variant used when sessions must keep the service alive
-     * (the VARSAW_SHARED_SERVICE env shim): @p self must be a
-     * shared_ptr to this service.
-     */
-    std::unique_ptr<Session>
-    openOwnedSession(std::shared_ptr<ExecutionService> self,
-                     const RuntimeConfig &config);
 
     /** The backend all sessions execute on. */
     Executor &backend() { return backend_; }
@@ -378,10 +357,9 @@ class ExecutionService : public ExecutionBackplane
     std::vector<std::future<Pmf>>
     submitFor(Session &session, const Batch &batch);
 
-    std::unique_ptr<Session>
-    makeSession(std::shared_ptr<ExecutionService> keep_alive,
-                std::string name, bool cache_results,
-                LatencyClass latency_class);
+    std::unique_ptr<Session> makeSession(std::string name,
+                                         bool cache_results,
+                                         LatencyClass latency_class);
 
     /** Start the live-introspection endpoint when
      * telemetry::introspectPath() is set (ctor helper). */

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
@@ -25,6 +23,7 @@
 #include "telemetry/trace.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
+#include "util/parse.hh"
 
 namespace varsaw {
 
@@ -147,42 +146,13 @@ defaultCacheByteBudget()
     if (override_bytes > 0)
         return override_bytes;
     static const std::uint64_t budget = [] {
-        if (const char *env = std::getenv("VARSAW_STATE_CACHE_BYTES")) {
-            // strtoull silently wraps negatives and clamps overflow
-            // to ULLONG_MAX; both would turn a misconfiguration
-            // into an unbounded cache, so reject them explicitly.
-            char *end = nullptr;
-            errno = 0;
-            const unsigned long long parsed =
-                std::strtoull(env, &end, 10);
-            if (end != env && *end == '\0' && parsed > 0 &&
-                errno != ERANGE && env[0] != '-')
-                return static_cast<std::uint64_t>(parsed);
-        }
-        return StateCache::kDefaultByteBudget;
+        std::uint64_t bytes = 0;
+        return envPositive("VARSAW_STATE_CACHE_BYTES", &bytes)
+            ? bytes
+            : StateCache::kDefaultByteBudget;
     }();
     return budget;
 }
-
-namespace {
-
-/** Strict positive-integer parse (rejects sign, junk, overflow). */
-bool
-parsePositive(const char *text, std::uint64_t *out)
-{
-    if (!text || text[0] == '\0' || text[0] == '-')
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long parsed = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0' || parsed == 0 ||
-        errno == ERANGE)
-        return false;
-    *out = static_cast<std::uint64_t>(parsed);
-    return true;
-}
-
-} // namespace
 
 bool
 applyRuntimeFlags(int &argc, char **argv)
@@ -299,7 +269,7 @@ applyRuntimeFlags(int &argc, char **argv)
             setDefaultCacheByteBudget(parsed);
         else if (name == "--service-threads")
             setDefaultServiceThreads(static_cast<int>(
-                std::min<std::uint64_t>(parsed, 1u << 10)));
+                std::min<std::uint64_t>(parsed, kMaxServiceThreads)));
         else
             setKernelThreads(static_cast<int>(
                 std::min<std::uint64_t>(parsed, kMaxKernelThreads)));
@@ -313,8 +283,6 @@ SimEngine::SimEngine(SimEngineConfig config)
     : cacheEnabled_(config.cacheEnabled),
       cache_(config.cacheByteBudget, config.cacheMaxEntries)
 {
-    if (config.kernelThreads > 0)
-        setKernelThreads(config.kernelThreads);
 }
 
 std::vector<double>

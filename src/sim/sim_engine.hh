@@ -144,7 +144,8 @@ void setDefaultCacheByteBudget(std::uint64_t bytes);
  *                        are bit-identical at every tier)
  *   --service-threads=N  worker count of shared ExecutionServices
  *                        constructed with threads = 0
- *                        (setDefaultServiceThreads)
+ *                        (setDefaultServiceThreads, clamped to
+ *                        kMaxServiceThreads)
  *   --metrics-out=PATH   enable metrics; write a JSON snapshot of
  *                        the telemetry registry to PATH at exit
  *                        (telemetry::setMetricsOutPath)
@@ -160,10 +161,11 @@ void setDefaultCacheByteBudget(std::uint64_t bytes);
  *                        next ExecutionService constructed attaches
  *                        the endpoint — see varsaw-top)
  *
- * All accept `--flag V` as well as `--flag=V`. The VARSAW_TELEMETRY
- * / VARSAW_METRICS_OUT / VARSAW_TRACE_OUT / VARSAW_TRACE_EVENTS /
- * VARSAW_TELEMETRY_FLUSH_MS / VARSAW_PROFILE / VARSAW_INTROSPECT
- * environment knobs are applied first
+ * All accept `--flag V` as well as `--flag=V`; numeric values are
+ * parsed whole (parsePositive: "4x" is an error, not 4). The
+ * VARSAW_TELEMETRY / VARSAW_METRICS_OUT / VARSAW_TRACE_OUT /
+ * VARSAW_TRACE_EVENTS / VARSAW_TELEMETRY_FLUSH_MS / VARSAW_PROFILE /
+ * VARSAW_INTROSPECT environment knobs are applied first
  * (telemetry::installTelemetryEnvKnobs). Consumed flags
  * (and their value arguments) are REMOVED from argv and @p argc is
  * updated, so positional argument parsing in the drivers is
@@ -199,15 +201,6 @@ struct SimEngineConfig
      * set fits.
      */
     std::uint64_t cacheByteBudget = defaultCacheByteBudget();
-
-    /**
-     * Intra-kernel threads to apply at engine construction via
-     * setKernelThreads(). The kernel pool is process-wide (see
-     * util/parallel.hh), so this is a convenience knob, not
-     * per-engine state: 0 (the default) leaves the current
-     * process-wide setting untouched. Results never depend on it.
-     */
-    int kernelThreads = 0;
 };
 
 /**

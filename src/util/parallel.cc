@@ -1,13 +1,15 @@
 #include "util/parallel.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <utility>
+
+#include "util/parse.hh"
 
 namespace varsaw {
 
@@ -308,12 +310,11 @@ int
 defaultKernelThreads()
 {
     static const int dflt = [] {
-        if (const char *env = std::getenv("VARSAW_KERNEL_THREADS")) {
-            const long parsed = std::strtol(env, nullptr, 10);
-            if (parsed > 0)
-                return clampThreads(static_cast<int>(parsed));
-        }
-        return 1;
+        std::uint64_t parsed = 0;
+        if (!envPositive("VARSAW_KERNEL_THREADS", &parsed))
+            return 1;
+        return static_cast<int>(
+            std::min<std::uint64_t>(parsed, kMaxKernelThreads));
     }();
     return dflt;
 }
@@ -336,13 +337,11 @@ int
 defaultServiceThreads()
 {
     static const int envDefault = [] {
-        if (const char *env =
-                std::getenv("VARSAW_SERVICE_THREADS")) {
-            const long parsed = std::strtol(env, nullptr, 10);
-            if (parsed > 0)
-                return static_cast<int>(parsed);
-        }
-        return 0;
+        std::uint64_t parsed = 0;
+        if (!envPositive("VARSAW_SERVICE_THREADS", &parsed))
+            return 0;
+        return static_cast<int>(
+            std::min<std::uint64_t>(parsed, kMaxServiceThreads));
     }();
     const int overridden =
         serviceThreadOverride().load(std::memory_order_relaxed);
@@ -352,8 +351,9 @@ defaultServiceThreads()
 void
 setDefaultServiceThreads(int threads)
 {
-    serviceThreadOverride().store(threads > 0 ? threads : 0,
-                                  std::memory_order_relaxed);
+    serviceThreadOverride().store(
+        threads <= 0 ? 0 : std::min(threads, kMaxServiceThreads),
+        std::memory_order_relaxed);
 }
 
 int

@@ -31,14 +31,12 @@
  * (the pool is shared by every Statevector/DensityMatrix in the
  * process), defaulting to the VARSAW_KERNEL_THREADS environment
  * variable when set to a positive integer, else 1 (serial).
- * `SimEngineConfig::kernelThreads` / `RuntimeConfig::kernelThreads`
- * and the drivers' `--kernel-threads` flag plumb into
- * `setKernelThreads()`. Guidance: keep
- * batchThreads * kernelThreads <= cores — the pool holds at most
+ * `ServiceConfig::kernelThreads` and the `--kernel-threads` flag
+ * plumb into `setKernelThreads()`. The pool holds at most
  * `kernelThreads() - 1` helpers and each invocation admits at most
- * that many, so concurrent batch workers share (not multiply) the
- * helper budget, but the two pools still compete for the same
- * cores.
+ * that many; while an ExecutionService is live its batch workers are
+ * the helpers (see addKernelAssistHost), so there is one thread
+ * supply to size.
  */
 
 #ifndef VARSAW_UTIL_PARALLEL_HH
@@ -52,6 +50,10 @@ namespace varsaw {
 
 /** Hard cap on kernel threads (admission and pool size). */
 constexpr int kMaxKernelThreads = 64;
+
+/** Hard cap on the default service worker count (the
+ * VARSAW_SERVICE_THREADS env knob and the --service-threads flag). */
+constexpr int kMaxServiceThreads = 1024;
 
 /**
  * Minimum items per chunk. Chunks are the unit of scheduling AND of
@@ -89,7 +91,7 @@ constexpr std::uint64_t kParallelChunkAlign = 8;
 /**
  * Default kernel-thread count: VARSAW_KERNEL_THREADS when set to a
  * positive integer (read once, clamped to kMaxKernelThreads),
- * otherwise 1.
+ * otherwise 1. A malformed value warns and counts as unset.
  */
 int defaultKernelThreads();
 
@@ -118,17 +120,18 @@ std::uint64_t parallelChunkCount(std::uint64_t total);
 
 /**
  * Default worker count of a shared ExecutionService:
- * VARSAW_SERVICE_THREADS when set to a positive integer, overridden
- * by setDefaultServiceThreads() (the drivers' --service-threads
- * flag), otherwise 0 — meaning "auto", which
+ * VARSAW_SERVICE_THREADS when set to a positive integer (read once,
+ * clamped to kMaxServiceThreads; a malformed value warns and counts
+ * as unset), overridden by setDefaultServiceThreads() (the
+ * --service-threads flag), otherwise 0 — meaning "auto", which
  * resolveServiceThreads() maps to the hardware concurrency.
  */
 int defaultServiceThreads();
 
 /**
  * Override the default service worker count for services
- * constructed after this call. <= 0 restores the
- * environment/auto default.
+ * constructed after this call, clamped to kMaxServiceThreads. <= 0
+ * restores the environment/auto default.
  */
 void setDefaultServiceThreads(int threads);
 

@@ -44,7 +44,6 @@
 #include "runtime/batch_executor.hh"
 #include "runtime/job_ledger.hh"
 #include "runtime/submitter.hh"
-#include "runtime/thread_pool.hh"
 
 // Shared execution service
 #include "service/execution_service.hh"

@@ -3,10 +3,10 @@
  * Property tests for the prefix-shared engine across the estimator
  * stack: on fixed-seed TFIM and H2 workloads, every estimator
  * (Baseline / JigSaw / VarSaw) must report bit-identical energies
- * across {prep cache on, off} x {1, 4, 8 threads} — prepared-state
- * sharing and worker placement change cost, never results — and the
- * cached runs must perform exactly one prep simulation per
- * (prefix, params) key.
+ * across {prep cache on, off} x {serial private runtime, 2-, 4- and
+ * 8-worker service} — prepared-state sharing and worker placement
+ * change cost, never results — and the cached runs must perform
+ * exactly one prep simulation per (prefix, params) key.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +26,8 @@
 #include "util/parallel.hh"
 #include "vqa/ansatz.hh"
 #include "vqa/estimator.hh"
+
+#include "../worker_service.hh"
 
 namespace varsaw {
 namespace {
@@ -56,12 +58,13 @@ workloads()
 }
 
 /**
- * Evaluate one estimator flavor at three parameter points under the
- * given runtime config / cache mode and return the energy sequence.
+ * Evaluate one estimator flavor at three parameter points on
+ * @p workers service workers (kSerial: the private runtime) under
+ * the given cache mode and return the energy sequence.
  */
 std::vector<double>
 energySequence(const std::string &flavor, const Workload &w,
-               int threads, bool prep_cache,
+               int workers, bool prep_cache,
                std::uint64_t *prep_sims = nullptr)
 {
     NoisyExecutor exec(
@@ -70,8 +73,9 @@ energySequence(const std::string &flavor, const Workload &w,
         GateNoiseMode::AnalyticDepolarizing, 42);
     exec.simEngine().setCacheEnabled(prep_cache);
 
+    const auto service = workerService(exec, workers);
     RuntimeConfig runtime;
-    runtime.threads = threads;
+    runtime.service = service.get();
 
     // Three probe points: x0 and two deterministic perturbations.
     std::vector<std::vector<double>> points(3, w.x0);
@@ -119,17 +123,17 @@ TEST(PrefixDeterminism, BitIdenticalAcrossCacheAndThreads)
         for (const std::string flavor :
              {"baseline", "jigsaw", "varsaw"}) {
             const std::vector<double> reference =
-                energySequence(flavor, w, 1, false);
+                energySequence(flavor, w, kSerial, false);
             ASSERT_EQ(reference.size(), 3u);
-            for (int threads : {1, 4, 8}) {
+            for (int workers : {kSerial, 2, 4, 8}) {
                 for (bool cache : {false, true}) {
                     const auto got =
-                        energySequence(flavor, w, threads, cache);
+                        energySequence(flavor, w, workers, cache);
                     ASSERT_EQ(got.size(), reference.size());
                     for (std::size_t i = 0; i < got.size(); ++i)
                         EXPECT_EQ(got[i], reference[i])
                             << w.name << "/" << flavor
-                            << " threads=" << threads
+                            << " workers=" << workers
                             << " cache=" << cache << " point=" << i;
                 }
             }
@@ -145,9 +149,10 @@ TEST(PrefixDeterminism, KernelThreadsNeverChangeResults)
     // kParallelEngage threshold. A prefix-shared evaluation (one
     // deep prep, several measurement suffixes) must be
     // bit-identical across {1, 4, 8} kernel threads x {cache
-    // on/off} x {1, 4} batch threads x every SIMD tier the host
-    // supports (setSimdTier, not VARSAW_SIMD — the env is read
-    // once at startup).
+    // on/off} x {serial private runtime, 4-worker service, whose
+    // idle workers are lent to the engaged kernels} x every SIMD
+    // tier the host supports (setSimdTier, not VARSAW_SIMD — the
+    // env is read once at startup).
     struct Guard
     {
         int saved = kernelThreads();
@@ -175,18 +180,19 @@ TEST(PrefixDeterminism, KernelThreadsNeverChangeResults)
     }
 
     const auto evaluate = [&](int kernel_threads, bool cache,
-                              int batch_threads) {
+                              int workers) {
         setKernelThreads(kernel_threads);
         IdealExecutor exec(11);
         exec.simEngine().setCacheEnabled(cache);
+        const auto service = workerService(exec, workers);
         RuntimeConfig rc;
-        rc.threads = batch_threads;
-        BatchExecutor runtime(exec, rc);
+        rc.service = service.get();
+        const auto runtime = makeSubmitter(exec, rc);
         Batch batch;
         for (const auto &suffix : suffixes)
             batch.addPrefixed(prep, suffix, params, 64);
         std::vector<double> flat;
-        for (const auto &pmf : runtime.run(batch))
+        for (const auto &pmf : runtime->run(batch))
             for (std::uint64_t o = 0; o < 8; ++o)
                 flat.push_back(pmf.prob(o));
         return flat;
@@ -194,16 +200,16 @@ TEST(PrefixDeterminism, KernelThreadsNeverChangeResults)
 
     // Reference: forced-scalar, serial, cached.
     kern::setSimdTier(kern::SimdTier::Scalar);
-    const auto reference = evaluate(1, true, 1);
+    const auto reference = evaluate(1, true, kSerial);
     const int max_tier =
         static_cast<int>(kern::maxSupportedSimdTier());
     for (int tier = 0; tier <= max_tier; ++tier) {
         kern::setSimdTier(static_cast<kern::SimdTier>(tier));
         for (const int kernel_threads : {1, 4, 8})
             for (const bool cache : {false, true})
-                for (const int batch_threads : {1, 4}) {
-                    const auto got = evaluate(kernel_threads, cache,
-                                              batch_threads);
+                for (const int workers : {kSerial, 4}) {
+                    const auto got =
+                        evaluate(kernel_threads, cache, workers);
                     ASSERT_EQ(got.size(), reference.size());
                     for (std::size_t i = 0; i < got.size(); ++i)
                         EXPECT_EQ(got[i], reference[i])
@@ -212,7 +218,7 @@ TEST(PrefixDeterminism, KernelThreadsNeverChangeResults)
                                    static_cast<kern::SimdTier>(tier))
                             << " kernelThreads=" << kernel_threads
                             << " cache=" << cache
-                            << " batchThreads=" << batch_threads
+                            << " workers=" << workers
                             << " slot=" << i;
                 }
     }

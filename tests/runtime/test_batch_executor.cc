@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the batched parallel execution runtime: submission-order
- * determinism across thread counts, futures plumbing, cost
- * accounting, and estimator integration.
+ * Tests for the batched execution runtime: the serial private
+ * BatchExecutor against one-session ExecutionServices with 2, 4 and
+ * 8 workers (bit identity, futures plumbing, cost accounting), and
+ * estimator integration.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,8 @@
 #include "runtime/batch_executor.hh"
 #include "vqa/ansatz.hh"
 #include "vqa/estimator.hh"
+
+#include "../worker_service.hh"
 
 namespace varsaw {
 namespace {
@@ -49,18 +52,23 @@ TEST(BatchExecutor, ParallelBitIdenticalToSerialOnTfim)
 
     NoisyExecutor serial_exec(
         device, GateNoiseMode::AnalyticDepolarizing, 7);
-    BatchExecutor serial(serial_exec, RuntimeConfig{1, false, 64});
+    BatchExecutor serial(serial_exec,
+                         RuntimeConfig{.cacheMaxEntries = 64});
     const auto serial_results = serial.run(batch);
 
-    NoisyExecutor parallel_exec(
-        device, GateNoiseMode::AnalyticDepolarizing, 7);
-    BatchExecutor parallel(parallel_exec,
-                           RuntimeConfig{4, false, 64});
-    const auto parallel_results = parallel.run(batch);
+    for (int workers : kWorkerCounts) {
+        NoisyExecutor parallel_exec(
+            device, GateNoiseMode::AnalyticDepolarizing, 7);
+        const auto service = workerService(parallel_exec, workers);
+        const auto parallel = makeSubmitter(
+            parallel_exec, RuntimeConfig{.service = service.get()});
+        const auto parallel_results = parallel->run(batch);
 
-    ASSERT_EQ(serial_results.size(), parallel_results.size());
-    for (std::size_t i = 0; i < serial_results.size(); ++i)
-        EXPECT_EQ(serial_results[i], parallel_results[i]);
+        ASSERT_EQ(serial_results.size(), parallel_results.size());
+        for (std::size_t i = 0; i < serial_results.size(); ++i)
+            EXPECT_EQ(serial_results[i], parallel_results[i])
+                << workers;
+    }
 }
 
 TEST(BatchExecutor, TrajectoryNoiseAlsoDeterministic)
@@ -75,20 +83,28 @@ TEST(BatchExecutor, TrajectoryNoiseAlsoDeterministic)
     const Batch batch = tfimWorkload(h, ansatz.circuit(), params);
 
     NoisyExecutor a(device, GateNoiseMode::PauliTrajectories, 9, 8);
-    NoisyExecutor b(device, GateNoiseMode::PauliTrajectories, 9, 8);
-    BatchExecutor serial(a, RuntimeConfig{1, false, 64});
-    BatchExecutor parallel(b, RuntimeConfig{4, false, 64});
-
+    BatchExecutor serial(a, RuntimeConfig{.cacheMaxEntries = 64});
     const auto ra = serial.run(batch);
-    const auto rb = parallel.run(batch);
-    for (std::size_t i = 0; i < ra.size(); ++i)
-        EXPECT_EQ(ra[i], rb[i]);
+
+    for (int workers : kWorkerCounts) {
+        NoisyExecutor b(device, GateNoiseMode::PauliTrajectories, 9,
+                        8);
+        const auto service = workerService(b, workers);
+        const auto parallel =
+            makeSubmitter(b, RuntimeConfig{.service = service.get()});
+        const auto rb = parallel->run(batch);
+        ASSERT_EQ(ra.size(), rb.size());
+        for (std::size_t i = 0; i < ra.size(); ++i)
+            EXPECT_EQ(ra[i], rb[i]) << workers;
+    }
 }
 
 TEST(BatchExecutor, FuturesAlignWithJobIndices)
 {
     IdealExecutor exec(1);
-    BatchExecutor runtime(exec, RuntimeConfig{2, false, 64});
+    const auto service = workerService(exec, 2);
+    const auto runtime =
+        makeSubmitter(exec, RuntimeConfig{.service = service.get()});
 
     // Distinguishable jobs: job i prepares |1> on qubit i of 3.
     Batch batch;
@@ -97,7 +113,7 @@ TEST(BatchExecutor, FuturesAlignWithJobIndices)
         c.x(q).measureAll();
         batch.add(c, {}, 0);
     }
-    auto futures = runtime.submit(batch);
+    auto futures = runtime->submit(batch);
     ASSERT_EQ(futures.size(), 3u);
     for (int q = 0; q < 3; ++q) {
         Pmf pmf = futures[static_cast<std::size_t>(q)].get();
@@ -107,19 +123,23 @@ TEST(BatchExecutor, FuturesAlignWithJobIndices)
 
 TEST(BatchExecutor, CountsCircuitsAndShotsExactly)
 {
-    IdealExecutor exec(1);
-    BatchExecutor runtime(exec, RuntimeConfig{4, false, 64});
     Circuit c(2);
     c.h(0).cx(0, 1).measureAll();
-
     Batch batch;
     for (int i = 0; i < 64; ++i)
         batch.add(c, {}, 100 + static_cast<std::uint64_t>(i));
-    runtime.run(batch);
 
-    EXPECT_EQ(exec.circuitsExecuted(), 64u);
-    EXPECT_EQ(exec.shotsExecuted(), batch.totalShots());
-    EXPECT_EQ(runtime.jobsSubmitted(), 64u);
+    for (int workers : {kSerial, 4}) {
+        IdealExecutor exec(1);
+        const auto service = workerService(exec, workers);
+        const auto runtime = makeSubmitter(
+            exec, RuntimeConfig{.service = service.get()});
+        runtime->run(batch);
+
+        EXPECT_EQ(exec.circuitsExecuted(), 64u) << workers;
+        EXPECT_EQ(exec.shotsExecuted(), batch.totalShots()) << workers;
+        EXPECT_EQ(runtime->jobsSubmitted(), 64u) << workers;
+    }
 }
 
 TEST(BatchExecutor, EmptyBatchIsANoop)
@@ -134,7 +154,6 @@ TEST(BatchExecutor, CacheDedupesIdenticalJobsWithinABatch)
 {
     IdealExecutor exec(1);
     RuntimeConfig config;
-    config.threads = 1;
     config.cacheResults = true;
     BatchExecutor runtime(exec, config);
 
@@ -156,8 +175,8 @@ TEST(BatchExecutor, CachedDuplicatesDeterministicUnderThreads)
 {
     // With the cache on, only the first submission of a key ever
     // executes — duplicates wait on its future — so results AND
-    // cost counters are identical between serial and parallel runs
-    // even when duplicates hit a cold cache.
+    // cost counters are identical between the serial runtime and a
+    // service's workers even when duplicates hit a cold cache.
     Circuit c(3);
     c.h(0).cx(0, 1).cx(1, 2).measureAll();
     Batch batch;
@@ -165,24 +184,25 @@ TEST(BatchExecutor, CachedDuplicatesDeterministicUnderThreads)
         batch.add(c, {}, 512);
 
     IdealExecutor serial_exec(3);
-    RuntimeConfig serial_config;
-    serial_config.threads = 1;
-    serial_config.cacheResults = true;
-    BatchExecutor serial(serial_exec, serial_config);
+    BatchExecutor serial(serial_exec,
+                         RuntimeConfig{.cacheResults = true});
     const auto serial_results = serial.run(batch);
-
-    IdealExecutor parallel_exec(3);
-    RuntimeConfig parallel_config;
-    parallel_config.threads = 4;
-    parallel_config.cacheResults = true;
-    BatchExecutor parallel(parallel_exec, parallel_config);
-    const auto parallel_results = parallel.run(batch);
-
-    for (std::size_t i = 0; i < parallel_results.size(); ++i)
-        EXPECT_EQ(serial_results[0], parallel_results[i]);
     EXPECT_EQ(serial_exec.circuitsExecuted(), 1u);
-    EXPECT_EQ(parallel_exec.circuitsExecuted(), 1u);
-    EXPECT_EQ(parallel.cacheStats().hits, 31u);
+
+    for (int workers : kWorkerCounts) {
+        IdealExecutor parallel_exec(3);
+        const auto service = workerService(parallel_exec, workers);
+        const auto parallel = makeSubmitter(
+            parallel_exec, RuntimeConfig{.cacheResults = true,
+                                         .service = service.get()});
+        const auto parallel_results = parallel->run(batch);
+
+        for (std::size_t i = 0; i < parallel_results.size(); ++i)
+            EXPECT_EQ(serial_results[0], parallel_results[i])
+                << workers;
+        EXPECT_EQ(parallel_exec.circuitsExecuted(), 1u) << workers;
+        EXPECT_EQ(parallel->cacheStats().hits, 31u) << workers;
+    }
 }
 
 TEST(PrefixScheduler, GroupsCompareFullKeysNotDigests)
@@ -213,9 +233,9 @@ TEST(PrefixScheduler, MultiPrepBatchDeterministicAcrossPlacement)
 {
     // Several distinct preps (distinct group keys) in one batch:
     // results must be bit-identical however the prefix-aware
-    // scheduler places them — one chunk per prep at 2 workers, split
-    // groups at 4 — and each prep must still be simulated exactly
-    // once.
+    // scheduler places them on a service's workers — one chunk per
+    // prep at 2 workers, split groups at 4 and 8 — and each prep
+    // must still be simulated exactly once.
     const int qubits = 4;
     const std::vector<PauliString> bases = {
         PauliString::parse("XYZX"), PauliString::parse("ZZXX"),
@@ -230,17 +250,17 @@ TEST(PrefixScheduler, MultiPrepBatchDeterministicAcrossPlacement)
         prep_params.push_back(ansatz.initialParameters(7));
     }
 
-    auto run = [&](int threads, std::uint64_t *prep_sims) {
+    auto run = [&](int workers, std::uint64_t *prep_sims) {
         IdealExecutor exec(23);
-        RuntimeConfig config;
-        config.threads = threads;
-        BatchExecutor runtime(exec, config);
+        const auto service = workerService(exec, workers);
+        const auto runtime = makeSubmitter(
+            exec, RuntimeConfig{.service = service.get()});
         Batch batch;
         for (std::size_t p = 0; p < preps.size(); ++p)
             for (const auto &basis : bases)
                 batch.addPrefixed(preps[p], makeGlobalSuffix(basis),
                                   prep_params[p], 512);
-        const auto results = runtime.run(batch);
+        const auto results = runtime->run(batch);
         if (prep_sims)
             *prep_sims =
                 exec.simEngine().stats().prepSimulations;
@@ -248,12 +268,12 @@ TEST(PrefixScheduler, MultiPrepBatchDeterministicAcrossPlacement)
     };
 
     std::uint64_t serial_preps = 0;
-    const auto reference = run(1, &serial_preps);
+    const auto reference = run(kSerial, &serial_preps);
     EXPECT_EQ(serial_preps, preps.size());
-    for (int threads : {2, 4}) {
+    for (int workers : kWorkerCounts) {
         std::uint64_t prep_sims = 0;
-        const auto got = run(threads, &prep_sims);
-        EXPECT_EQ(prep_sims, preps.size()) << threads;
+        const auto got = run(workers, &prep_sims);
+        EXPECT_EQ(prep_sims, preps.size()) << workers;
         ASSERT_EQ(got.size(), reference.size());
         for (std::size_t i = 0; i < got.size(); ++i)
             EXPECT_EQ(reference[i], got[i]);
@@ -267,17 +287,20 @@ TEST(VarsawEstimator, EnergyIdenticalAcrossThreadCounts)
     const auto params = ansatz.initialParameters(21);
     const DeviceModel device = DeviceModel::uniform(4, 0.03, 0.06);
 
-    auto energy = [&](int threads) {
+    auto energy = [&](int workers) {
         NoisyExecutor exec(device,
                            GateNoiseMode::AnalyticDepolarizing, 13);
+        const auto service = workerService(exec, workers);
         VarsawConfig config;
         config.subsetShots = 1024;
         config.globalShots = 2048;
-        config.runtime.threads = threads;
+        config.runtime.service = service.get();
         VarsawEstimator est(h, ansatz.circuit(), exec, config);
         return est.estimate(params);
     };
-    EXPECT_DOUBLE_EQ(energy(1), energy(4));
+    const double serial = energy(kSerial);
+    for (int workers : kWorkerCounts)
+        EXPECT_EQ(serial, energy(workers)) << workers;
 }
 
 TEST(JigsawEstimator, EnergyIdenticalAcrossThreadCounts)
@@ -287,19 +310,21 @@ TEST(JigsawEstimator, EnergyIdenticalAcrossThreadCounts)
     const auto params = ansatz.initialParameters(29);
     const DeviceModel device = DeviceModel::uniform(4, 0.03, 0.06);
 
-    auto energy = [&](int threads) {
+    auto energy = [&](int workers) {
         NoisyExecutor exec(device,
                            GateNoiseMode::AnalyticDepolarizing, 13);
+        const auto service = workerService(exec, workers);
         JigsawConfig config;
         config.subsetShots = 512;
         config.globalShots = 1024;
-        RuntimeConfig runtime;
-        runtime.threads = threads;
         JigsawEstimator est(h, ansatz.circuit(), exec, config,
-                            BasisMode::Cover, runtime);
+                            BasisMode::Cover,
+                            RuntimeConfig{.service = service.get()});
         return est.estimate(params);
     };
-    EXPECT_DOUBLE_EQ(energy(1), energy(4));
+    const double serial = energy(kSerial);
+    for (int workers : kWorkerCounts)
+        EXPECT_EQ(serial, energy(workers)) << workers;
 }
 
 TEST(BaselineEstimator, EnergyIdenticalAcrossThreadCounts)
@@ -308,16 +333,18 @@ TEST(BaselineEstimator, EnergyIdenticalAcrossThreadCounts)
     EfficientSU2 ansatz(AnsatzConfig{4, 2, Entanglement::Linear});
     const auto params = ansatz.initialParameters(21);
 
-    auto energy = [&](int threads) {
+    auto energy = [&](int workers) {
         IdealExecutor exec(99);
-        RuntimeConfig runtime;
-        runtime.threads = threads;
+        const auto service = workerService(exec, workers);
         BaselineEstimator est(h, ansatz.circuit(), exec, 4096,
                               BasisMode::Cover,
-                              ShotAllocation::Uniform, runtime);
+                              ShotAllocation::Uniform,
+                              RuntimeConfig{.service = service.get()});
         return est.estimate(params);
     };
-    EXPECT_DOUBLE_EQ(energy(1), energy(4));
+    const double serial = energy(kSerial);
+    for (int workers : kWorkerCounts)
+        EXPECT_EQ(serial, energy(workers)) << workers;
 }
 
 } // namespace

@@ -126,7 +126,6 @@ idealReference(const Batch &batch)
     installZeroPlan();
     IdealExecutor exec(3);
     RuntimeConfig rc;
-    rc.threads = 1;
     BatchExecutor runtime(exec, rc);
     return runtime.run(batch);
 }
@@ -165,7 +164,6 @@ TEST(FaultTolerance, TransientFaultsRetryToBitIdenticalResults)
         installZeroPlan();
         IdealExecutor exec(3);
         RuntimeConfig rc;
-        rc.threads = 1;
         rc.cacheResults = true; // dedupe like the service does
         BatchExecutor runtime(exec, rc);
         (void)runtime.run(batch);
@@ -547,7 +545,6 @@ TEST(FaultTolerance, ShutdownUnderLoadWithFaultsResolvesAllFutures)
         installZeroPlan();
         IdealExecutor exec(3);
         RuntimeConfig rc;
-        rc.threads = 1;
         BatchExecutor runtime(exec, rc);
         for (int i = 0; i < kThreads * kBatchesPerThread; ++i)
             refs[static_cast<std::size_t>(i)] = runtime.run(

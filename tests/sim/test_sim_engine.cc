@@ -2,7 +2,7 @@
  * @file
  * Tests for the prefix-shared simulation engine: the prep/suffix
  * split, prepared-state caching (exactly one prep per key, under
- * any thread count), and bit-identity with the legacy full-circuit
+ * any worker count), and bit-identity with the legacy full-circuit
  * path for both job shapes with the cache on and off.
  */
 
@@ -19,6 +19,8 @@
 #include "sim/sim_engine.hh"
 #include "sim/state_cache.hh"
 #include "vqa/ansatz.hh"
+
+#include "../worker_service.hh"
 
 namespace varsaw {
 namespace {
@@ -170,9 +172,9 @@ TEST(SimEngine, MultiBasisBatchPreparesOncePerThreadCount)
 {
     // The acceptance property: with the cache enabled, one
     // multi-basis objective evaluation costs exactly one full
-    // state-prep simulation per unique (prefix, params) key — at
-    // every thread count, including under the prefix-aware
-    // scheduler's grouping.
+    // state-prep simulation per unique (prefix, params) key — on
+    // the serial private runtime and at every service worker count,
+    // including under the prefix-aware scheduler's grouping.
     const int qubits = 6;
     const Circuit ansatz = su2Ansatz(qubits);
     const auto params = testParams(qubits);
@@ -182,24 +184,25 @@ TEST(SimEngine, MultiBasisBatchPreparesOncePerThreadCount)
         PauliString::parse("YYXXZZ"), PauliString::parse("XXYYXX"),
         PauliString::parse("ZXZXZX"), PauliString::parse("YZYZYZ")};
 
-    for (int threads : {1, 4, 8}) {
+    for (int workers : {kSerial, 1, 4, 8}) {
         NoisyExecutor exec(DeviceModel::uniform(qubits, 0.02, 0.05),
                            GateNoiseMode::AnalyticDepolarizing, 11);
+        const auto service = workerService(exec, workers);
         RuntimeConfig config;
-        config.threads = threads;
-        BatchExecutor runtime(exec, config);
+        config.service = service.get();
+        const auto runtime = makeSubmitter(exec, config);
 
         Batch batch;
         for (const auto &basis : bases)
             batch.addPrefixed(prep, makeGlobalSuffix(basis), params,
                               1024);
-        runtime.run(batch);
+        runtime->run(batch);
 
         const SimEngineStats stats = exec.simEngine().stats();
         EXPECT_EQ(stats.prepSimulations, 1u)
-            << "threads=" << threads;
+            << "workers=" << workers;
         EXPECT_EQ(stats.suffixApplications, bases.size())
-            << "threads=" << threads;
+            << "workers=" << workers;
     }
 }
 

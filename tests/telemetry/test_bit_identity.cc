@@ -6,9 +6,9 @@
  *
  * Runs the same fixed-seed TFIM workload three ways — telemetry off,
  * telemetry fully on (default ring), telemetry on with an 8-slot
- * ring — through both a private BatchExecutor and a shared
- * ExecutionService with two sessions, and requires exact (double
- * ==) equality of every PMF entry.
+ * ring — through a serial private BatchExecutor, a one-session
+ * 4-worker ExecutionService, and a shared service with two sessions,
+ * and requires exact (double ==) equality of every PMF entry.
  */
 
 #include <gtest/gtest.h>
@@ -67,17 +67,32 @@ workload(const Hamiltonian &h, const Circuit &ansatz,
     return batch;
 }
 
-/** Run the workload through a private parallel BatchExecutor. */
+/** Run the workload through a serial private BatchExecutor. */
 std::vector<Pmf>
 runPrivate(const Batch &batch, const DeviceModel &device)
 {
     NoisyExecutor exec(device, GateNoiseMode::AnalyticDepolarizing,
                        7);
     RuntimeConfig config;
-    config.threads = 4;
     config.cacheResults = true;
     BatchExecutor runtime(exec, config);
     return runtime.run(batch);
+}
+
+/** Run the workload through one session of a 4-worker service,
+ * opened the way estimators open it (RuntimeConfig::service). */
+std::vector<Pmf>
+runOneSession(const Batch &batch, const DeviceModel &device)
+{
+    NoisyExecutor exec(device, GateNoiseMode::AnalyticDepolarizing,
+                       7);
+    ServiceConfig sc;
+    sc.threads = 4;
+    ExecutionService service(exec, sc);
+    RuntimeConfig config;
+    config.cacheResults = true;
+    config.service = &service;
+    return makeSubmitter(exec, config)->run(batch);
 }
 
 /** Run the workload through two sessions of a shared service (the
@@ -140,6 +155,11 @@ checkIdentityAcrossTelemetryModes(Runner run)
 TEST(TelemetryBitIdentity, PrivateRuntime)
 {
     checkIdentityAcrossTelemetryModes(runPrivate);
+}
+
+TEST(TelemetryBitIdentity, OneSessionService)
+{
+    checkIdentityAcrossTelemetryModes(runOneSession);
 }
 
 TEST(TelemetryBitIdentity, SharedServiceTwoSessions)
