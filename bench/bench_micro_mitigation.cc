@@ -7,6 +7,12 @@
  * end-to-end noisy execution. Plain table bench (ops/sec per
  * case), CSV via util/csv.
  *
+ * bayesianReconstruct_10q fuses into a dense 1024-outcome global;
+ * the *_H6-10 cases instead replay VarSaw's per-evaluation
+ * post-processing on the real H6-10 plan (809 bases, 5848 windows)
+ * with priors and locals from one noisy 512-shot tick, the shape of
+ * the wide_postprocess workload.
+ *
  * Knobs: VARSAW_BENCH_REPS (default 20 timing repetitions; the
  * fastest cases run 10x that), plus the standard --cache-bytes /
  * --kernel-threads flags.
@@ -21,6 +27,7 @@
 #include "core/spatial.hh"
 #include "mitigation/bayesian.hh"
 #include "mitigation/executor.hh"
+#include "mitigation/jigsaw.hh"
 #include "noise/device_model.hh"
 #include "pauli/subsetting.hh"
 #include "sim/statevector.hh"
@@ -87,11 +94,53 @@ main(int argc, char **argv)
     noisy_circuit.append(noisy_ansatz.circuit());
     noisy_circuit.measureAll();
 
+    // One noisy H6-10 tick: every executed subset and every basis's
+    // Global at 512 shots, then each basis's locals answered from the
+    // shared subset results, as VarsawEstimator does.
+    const SpatialPlan h6_plan = buildSpatialPlan(h6, 2);
+    EfficientSU2 h6_ansatz(AnsatzConfig{10, 2, Entanglement::Linear});
+    const auto h6_params = h6_ansatz.initialParameters(5);
+    NoisyExecutor h6_exec(DeviceModel::mumbai(),
+                          GateNoiseMode::AnalyticDepolarizing, 5);
+    std::vector<Pmf> h6_subsets;
+    for (const auto &subset : h6_plan.executedSubsets)
+        h6_subsets.push_back(h6_exec.execute(
+            makeSubsetCircuit(h6_ansatz.circuit(), subset), h6_params,
+            512));
+    std::vector<Pmf> h6_priors;
+    for (const auto &basis : h6_plan.bases.bases)
+        h6_priors.push_back(h6_exec.execute(
+            makeGlobalCircuit(h6_ansatz.circuit(), basis), h6_params,
+            512));
+    std::vector<std::vector<LocalPmf>> h6_locals(h6_priors.size());
+    for (std::size_t b = 0; b < h6_priors.size(); ++b)
+        for (const auto &binding : h6_plan.basisWindows[b])
+            h6_locals[b].push_back(
+                {binding.globalPositions,
+                 h6_subsets[binding.coverIndex].marginal(
+                     binding.marginalPositions)});
+    std::vector<Pmf> h6_mitigated(h6_priors.size());
+    auto reconstruct_h6 = [&] {
+        for (std::size_t b = 0; b < h6_priors.size(); ++b)
+            h6_mitigated[b] =
+                bayesianReconstruct(h6_priors[b], h6_locals[b], 1);
+    };
+    reconstruct_h6();
+
     std::vector<Case> cases;
     cases.push_back({"bayesianReconstruct_10q", reps, [&] {
                          Pmf out =
                              bayesianReconstruct(global, locals, 1);
                          (void)out.supportSize();
+                     }});
+    cases.push_back({"reconstructAll_H6-10", reps, [&] {
+                         reconstruct_h6();
+                         (void)h6_mitigated.back().supportSize();
+                     }});
+    cases.push_back({"energyFromBasisPmfs_H6-10", reps, [&] {
+                         const double e = energyFromBasisPmfs(
+                             h6, h6_plan.bases, h6_mitigated);
+                         (void)e;
                      }});
     cases.push_back({"coverReduce_CH4-8", reps, [&] {
                          (void)coverReduce(ch4.strings()).bases

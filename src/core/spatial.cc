@@ -1,5 +1,6 @@
 #include "core/spatial.hh"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -43,6 +44,16 @@ buildSpatialPlan(const Hamiltonian &hamiltonian, int window_size,
 
     SubsetCover cover(plan.executedSubsets);
 
+    // Per executed subset: its support, and the indices into
+    // plan.marginals of its marginals so far (a window's duplicates
+    // can only be among its cover's few marginals).
+    std::vector<std::vector<int>> cover_supports;
+    cover_supports.reserve(plan.executedSubsets.size());
+    for (const auto &subset : plan.executedSubsets)
+        cover_supports.push_back(subset.support());
+    std::vector<std::vector<std::size_t>> cover_marginals(
+        plan.executedSubsets.size());
+
     plan.basisWindows.resize(plan.bases.bases.size());
     for (std::size_t b = 0; b < plan.bases.bases.size(); ++b) {
         const auto windows =
@@ -63,8 +74,7 @@ buildSpatialPlan(const Hamiltonian &hamiltonian, int window_size,
             binding.coverIndex = *idx;
             binding.globalPositions = w.support();
 
-            const auto cover_support =
-                plan.executedSubsets[*idx].support();
+            const auto &cover_support = cover_supports[*idx];
             binding.marginalPositions.reserve(
                 binding.globalPositions.size());
             for (int q : binding.globalPositions) {
@@ -78,6 +88,21 @@ buildSpatialPlan(const Hamiltonian &hamiltonian, int window_size,
                     panic("buildSpatialPlan: cover support does not "
                           "contain window qubit");
                 binding.marginalPositions.push_back(pos);
+            }
+
+            auto &known = cover_marginals[*idx];
+            const auto same = std::find_if(
+                known.begin(), known.end(), [&](std::size_t m) {
+                    return plan.marginals[m].positions ==
+                        binding.marginalPositions;
+                });
+            if (same != known.end()) {
+                binding.marginalIndex = *same;
+            } else {
+                binding.marginalIndex = plan.marginals.size();
+                known.push_back(binding.marginalIndex);
+                plan.marginals.push_back(
+                    {*idx, binding.marginalPositions});
             }
             bindings.push_back(std::move(binding));
         }

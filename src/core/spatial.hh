@@ -58,10 +58,30 @@ struct SpatialPlan
          * compact outcome bits (for marginalization).
          */
         std::vector<int> marginalPositions;
+
+        /** Index into marginals of (coverIndex, marginalPositions). */
+        std::size_t marginalIndex = 0;
     };
 
     /** Window bindings per basis (aligned with bases.bases). */
     std::vector<std::vector<WindowBinding>> basisWindows;
+
+    /** One marginal of an executed subset's outcome. */
+    struct Marginal
+    {
+        /** Index into executedSubsets. */
+        std::size_t coverIndex = 0;
+
+        /** Bits of that subset's outcome, as in marginalPositions. */
+        std::vector<int> positions;
+    };
+
+    /**
+     * The distinct (coverIndex, marginalPositions) pairs of all
+     * bindings, in first-use order. Many bases need the same window,
+     * so each tick computes these once and shares them.
+     */
+    std::vector<Marginal> marginals;
 
     /** Human-readable plan summary. */
     std::string summary() const;

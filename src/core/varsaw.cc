@@ -29,6 +29,12 @@ VarsawEstimator::VarsawEstimator(const Hamiltonian &hamiltonian,
     globalSuffixes_.reserve(plan_.bases.bases.size());
     for (const auto &basis : plan_.bases.bases)
         globalSuffixes_.push_back(makeGlobalSuffix(basis));
+    locals_.resize(plan_.basisWindows.size());
+    for (std::size_t b = 0; b < plan_.basisWindows.size(); ++b) {
+        locals_[b].reserve(plan_.basisWindows[b].size());
+        for (const auto &binding : plan_.basisWindows[b])
+            locals_[b].push_back({binding.globalPositions, Pmf()});
+    }
 }
 
 void
@@ -67,7 +73,7 @@ VarsawEstimator::onIterationBoundary()
     advanceIteration();
 }
 
-std::vector<std::vector<LocalPmf>>
+void
 VarsawEstimator::collectLocals(const std::vector<double> &params)
 {
     // Execute each reduced subset exactly once this tick, as one
@@ -79,32 +85,28 @@ VarsawEstimator::collectLocals(const std::vector<double> &params)
                           config_.subsetShots);
     const std::vector<Pmf> subset_pmfs = runtime_->run(batch);
 
-    // Answer every basis window from the shared results.
-    std::vector<std::vector<LocalPmf>> locals(
-        plan_.basisWindows.size());
+    // Answer every basis window from the shared results: each
+    // distinct window marginal is computed once.
+    std::vector<Pmf> marginals;
+    marginals.reserve(plan_.marginals.size());
+    for (const auto &m : plan_.marginals)
+        marginals.push_back(
+            subset_pmfs[m.coverIndex].marginal(m.positions));
     for (std::size_t b = 0; b < plan_.basisWindows.size(); ++b) {
-        locals[b].reserve(plan_.basisWindows[b].size());
-        for (const auto &binding : plan_.basisWindows[b]) {
-            LocalPmf local;
-            local.positions = binding.globalPositions;
-            local.pmf = subset_pmfs[binding.coverIndex]
-                .marginal(binding.marginalPositions);
-            locals[b].push_back(std::move(local));
-        }
+        const auto &bindings = plan_.basisWindows[b];
+        for (std::size_t w = 0; w < bindings.size(); ++w)
+            locals_[b][w].pmf = marginals[bindings[w].marginalIndex];
     }
-    return locals;
 }
 
 std::vector<Pmf>
-VarsawEstimator::reconstructAll(
-    const std::vector<Pmf> &priors,
-    const std::vector<std::vector<LocalPmf>> &locals) const
+VarsawEstimator::reconstructAll(const std::vector<Pmf> &priors) const
 {
     std::vector<Pmf> out;
     out.reserve(priors.size());
     for (std::size_t b = 0; b < priors.size(); ++b)
         out.push_back(bayesianReconstruct(
-            priors[b], locals[b], config_.reconstructionPasses));
+            priors[b], locals_[b], config_.reconstructionPasses));
     return out;
 }
 
@@ -134,7 +136,7 @@ VarsawEstimator::estimate(const std::vector<double> &params)
     const bool first_probe = probesThisIteration_ == 0;
     ++probesThisIteration_;
 
-    auto locals = collectLocals(params);
+    collectLocals(params);
 
     // Globals run at most once per iteration, on its first probe.
     const bool run_global = first_probe &&
@@ -143,7 +145,7 @@ VarsawEstimator::estimate(const std::vector<double> &params)
     std::vector<Pmf> mitigated;
     if (run_global) {
         auto fresh_globals = runGlobals(params);
-        auto fresh = reconstructAll(fresh_globals, locals);
+        auto fresh = reconstructAll(fresh_globals);
         const double fresh_energy = energyFromBasisPmfs(
             hamiltonian_, plan_.bases, fresh);
 
@@ -157,7 +159,7 @@ VarsawEstimator::estimate(const std::vector<double> &params)
                 GlobalScheduler::Mode::Adaptive) {
             // Check iteration: compute the result both ways and
             // hill-climb the sparsity (Section 4.2).
-            auto stale = reconstructAll(prior_, locals);
+            auto stale = reconstructAll(prior_);
             const double stale_energy = energyFromBasisPmfs(
                 hamiltonian_, plan_.bases, stale);
             const bool stale_no_worse =
@@ -175,7 +177,7 @@ VarsawEstimator::estimate(const std::vector<double> &params)
         havePrior_ = true;
     } else {
         // Stale chain: this iteration's shared prior.
-        mitigated = reconstructAll(prior_, locals);
+        mitigated = reconstructAll(prior_);
     }
 
     const double energy = energyFromBasisPmfs(

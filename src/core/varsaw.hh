@@ -119,15 +119,11 @@ class VarsawEstimator : public EnergyEstimator
     const JobSubmitter &runtime() const { return *runtime_; }
 
   private:
-    /** Build per-basis LocalPmfs from this tick's subset runs. */
-    std::vector<std::vector<LocalPmf>>
-    collectLocals(const std::vector<double> &params);
+    /** Refresh every basis's locals_ from this tick's subset runs. */
+    void collectLocals(const std::vector<double> &params);
 
     /** Reconstruct all bases against the given priors. */
-    std::vector<Pmf>
-    reconstructAll(const std::vector<Pmf> &priors,
-                   const std::vector<std::vector<LocalPmf>> &locals)
-        const;
+    std::vector<Pmf> reconstructAll(const std::vector<Pmf> &priors) const;
 
     /** Execute fresh Globals for every basis. */
     std::vector<Pmf> runGlobals(const std::vector<double> &params);
@@ -146,6 +142,12 @@ class VarsawEstimator : public EnergyEstimator
     std::vector<Circuit> subsetSuffixes_;
     /** Per-basis Global suffixes (fixed per estimator). */
     std::vector<Circuit> globalSuffixes_;
+    /**
+     * Per-basis window locals, aligned with plan_.basisWindows. The
+     * positions are fixed at construction; each tick copy-assigns
+     * the shared marginals into the pmfs, reusing their storage.
+     */
+    std::vector<std::vector<LocalPmf>> locals_;
 
     /** Reconstruction prior for all probes of this iteration. */
     std::vector<Pmf> prior_;

@@ -2,10 +2,12 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <thread>
 
 #include "telemetry/metrics.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 #include "util/rng.hh"
 
 namespace varsaw::fault {
@@ -42,19 +44,8 @@ constexpr std::uint64_t kSiteSalt[kFaultSiteCount] = {
 /** Longest real sleep one injected wait may cost a worker. */
 constexpr std::uint64_t kMaxRealSleepNs = 50'000'000;
 
-bool
-parseU64(const std::string &text, std::uint64_t &out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    const unsigned long long v =
-        std::strtoull(text.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0')
-        return false;
-    out = static_cast<std::uint64_t>(v);
-    return true;
-}
+/** Largest burst or retry count (both are stored as int). */
+constexpr std::uint64_t kMaxCount = std::numeric_limits<int>::max();
 
 bool
 parseRate(const std::string &text, double &out)
@@ -112,13 +103,13 @@ parseFaultPlan(const std::string &spec, FaultPlan &plan,
         bool ok = true;
         std::uint64_t u = 0;
         if (key == "seed") {
-            ok = parseU64(value, plan.seed);
+            ok = parseU64(value.c_str(), &plan.seed);
         } else if (key == "exec_transient") {
             ok = parseRate(value, plan.executorTransientRate);
         } else if (key == "latency_spike") {
             ok = parseRate(value, plan.latencySpikeRate);
         } else if (key == "latency_ns") {
-            ok = parseU64(value, plan.latencySpikeNs);
+            ok = parseU64(value.c_str(), &plan.latencySpikeNs);
         } else if (key == "worker_stall") {
             ok = parseRate(value, plan.workerStallRate);
         } else if (key == "cache_insert") {
@@ -126,7 +117,7 @@ parseFaultPlan(const std::string &spec, FaultPlan &plan,
         } else if (key == "corrupt") {
             ok = parseRate(value, plan.corruptionRate);
         } else if (key == "burst") {
-            ok = parseU64(value, u) && u >= 1;
+            ok = parsePositive(value.c_str(), &u) && u <= kMaxCount;
             if (ok)
                 plan.burst = static_cast<int>(u);
         } else if (key == "virtual_time") {
@@ -134,15 +125,15 @@ parseFaultPlan(const std::string &spec, FaultPlan &plan,
             if (ok)
                 plan.virtualTime = value == "1";
         } else if (key == "retries") {
-            ok = parseU64(value, u) && u >= 1;
+            ok = parsePositive(value.c_str(), &u) && u <= kMaxCount;
             if (ok)
                 plan.retryAttempts = static_cast<int>(u);
         } else if (key == "backoff_ns") {
-            ok = parseU64(value, plan.retryBackoffNs);
+            ok = parseU64(value.c_str(), &plan.retryBackoffNs);
         } else if (key == "max_backoff_ns") {
-            ok = parseU64(value, plan.retryMaxBackoffNs);
+            ok = parseU64(value.c_str(), &plan.retryMaxBackoffNs);
         } else if (key == "deadline_ns") {
-            ok = parseU64(value, plan.deadlineNs);
+            ok = parseU64(value.c_str(), &plan.deadlineNs);
         } else {
             error = "unknown fault plan key '" + key + "'";
             return false;

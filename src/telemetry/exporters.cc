@@ -1,15 +1,18 @@
 #include "telemetry/exporters.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <thread>
 
 #include "telemetry/introspect.hh"
 #include "telemetry/profiler.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace varsaw::telemetry {
 
@@ -492,13 +495,10 @@ installTelemetryEnvKnobs()
                 setTracingEnabled(true);
             }
         }
-        if (const char *env =
-                std::getenv("VARSAW_TRACE_EVENTS")) {
-            const long n = std::strtol(env, nullptr, 10);
-            if (n > 0)
-                SpanTracer::instance().setCapacity(
-                    static_cast<std::size_t>(n));
-        }
+        std::uint64_t events = 0;
+        if (envPositive("VARSAW_TRACE_EVENTS", &events))
+            SpanTracer::instance().setCapacity(
+                static_cast<std::size_t>(events));
         if (const char *env = std::getenv("VARSAW_METRICS_OUT")) {
             if (env[0] != '\0')
                 setMetricsOutPath(env);
@@ -515,16 +515,14 @@ installTelemetryEnvKnobs()
             if (env[0] != '\0')
                 setIntrospectPath(env);
         }
-        if (const char *env =
-                std::getenv("VARSAW_TELEMETRY_FLUSH_MS")) {
-            const long ms = std::strtol(env, nullptr, 10);
-            if (ms > 0) {
-                // Immortal by design: flushes until process exit.
-                static PeriodicFlusher *flusher =
-                    new PeriodicFlusher(
-                        static_cast<unsigned>(ms));
-                (void)flusher;
-            }
+        std::uint64_t flush_ms = 0;
+        if (envPositive("VARSAW_TELEMETRY_FLUSH_MS", &flush_ms)) {
+            // Immortal by design: flushes until process exit.
+            static PeriodicFlusher *flusher =
+                new PeriodicFlusher(static_cast<unsigned>(
+                    std::min<std::uint64_t>(
+                        flush_ms, std::numeric_limits<unsigned>::max())));
+            (void)flusher;
         }
         return true;
     }();

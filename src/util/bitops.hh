@@ -32,11 +32,15 @@ parity(std::uint64_t x)
     return std::popcount(x) & 1;
 }
 
-/** +1 if parity of x is even, -1 if odd. */
+/**
+ * +1 if parity of x is even, -1 if odd. Arithmetic, not a select:
+ * without a hardware popcount the select compiles to a branch, and
+ * parity over sampled outcomes is a coin flip to the predictor.
+ */
 inline int
 paritySign(std::uint64_t x)
 {
-    return parity(x) ? -1 : 1;
+    return 1 - 2 * parity(x);
 }
 
 /**

@@ -14,6 +14,7 @@
  * Filtering: VARSAW_LOG_LEVEL selects the minimum emitted severity
  * — "debug", "info" (default), "warn", or "none"/"fatal" (suppress
  * warn too; fatal/panic always print, they precede process death).
+ * Any other value warns once and means "info".
  * The debug level additionally compiles out entirely in release
  * (NDEBUG) builds: use the VARSAW_DEBUG(msg) macro, whose argument
  * is not evaluated when compiled out.
@@ -48,28 +49,6 @@ logMutex()
     return m;
 }
 
-/** Minimum emitted severity (VARSAW_LOG_LEVEL, read once). */
-inline LogLevel
-logLevel()
-{
-    static const LogLevel level = [] {
-        const char *env = std::getenv("VARSAW_LOG_LEVEL");
-        if (!env)
-            return LogLevel::Info;
-        if (!std::strcmp(env, "debug") || !std::strcmp(env, "0"))
-            return LogLevel::Debug;
-        if (!std::strcmp(env, "info") || !std::strcmp(env, "1"))
-            return LogLevel::Info;
-        if (!std::strcmp(env, "warn") || !std::strcmp(env, "2"))
-            return LogLevel::Warn;
-        if (!std::strcmp(env, "none") ||
-            !std::strcmp(env, "fatal") || !std::strcmp(env, "3"))
-            return LogLevel::None;
-        return LogLevel::Info;
-    }();
-    return level;
-}
-
 /**
  * Compose "prefix: msg\n" and write it with ONE stdio call under
  * the log mutex — the serialization point for every helper below.
@@ -87,6 +66,34 @@ emitLine(std::FILE *stream, const char *prefix,
     std::lock_guard<std::mutex> lock(logMutex());
     std::fwrite(line.data(), 1, line.size(), stream);
     std::fflush(stream);
+}
+
+/** Minimum emitted severity (VARSAW_LOG_LEVEL, read once). */
+inline LogLevel
+logLevel()
+{
+    static const LogLevel level = [] {
+        const char *env = std::getenv("VARSAW_LOG_LEVEL");
+        if (!env)
+            return LogLevel::Info;
+        if (!std::strcmp(env, "debug") || !std::strcmp(env, "0"))
+            return LogLevel::Debug;
+        if (!std::strcmp(env, "info") || !std::strcmp(env, "1"))
+            return LogLevel::Info;
+        if (!std::strcmp(env, "warn") || !std::strcmp(env, "2"))
+            return LogLevel::Warn;
+        if (!std::strcmp(env, "none") ||
+            !std::strcmp(env, "fatal") || !std::strcmp(env, "3"))
+            return LogLevel::None;
+        // Straight to emitLine: warn() would re-enter this
+        // initializer.
+        emitLine(stderr, "warn",
+                 std::string("VARSAW_LOG_LEVEL: unknown level '") +
+                     env + "' (want debug, info, warn or none); "
+                     "using info");
+        return LogLevel::Info;
+    }();
+    return level;
 }
 
 } // namespace logdetail

@@ -9,7 +9,7 @@
 namespace varsaw {
 
 bool
-parsePositive(const char *text, std::uint64_t *out)
+parseU64(const char *text, std::uint64_t *out)
 {
     // strtoull alone would skip whitespace, accept a sign (and wrap
     // a negative) and stop at the first non-digit; require a leading
@@ -19,9 +19,19 @@ parsePositive(const char *text, std::uint64_t *out)
     char *end = nullptr;
     errno = 0;
     const unsigned long long parsed = std::strtoull(text, &end, 10);
-    if (*end != '\0' || parsed == 0 || errno == ERANGE)
+    if (*end != '\0' || errno == ERANGE)
         return false;
     *out = static_cast<std::uint64_t>(parsed);
+    return true;
+}
+
+bool
+parsePositive(const char *text, std::uint64_t *out)
+{
+    std::uint64_t value = 0;
+    if (!parseU64(text, &value) || value == 0)
+        return false;
+    *out = value;
     return true;
 }
 

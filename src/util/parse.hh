@@ -16,12 +16,15 @@
 namespace varsaw {
 
 /**
- * Parse @p text as a positive decimal integer: one or more digits
- * and nothing else, naming a value in [1, 2^64). Rejects null,
- * empty, signs, whitespace, trailing junk, zero and overflow.
- * Stores the value in @p out and returns true on success; leaves
- * @p out untouched otherwise.
+ * Parse @p text as an unsigned decimal integer: one or more digits
+ * and nothing else, naming a value in [0, 2^64). Rejects null,
+ * empty, signs, whitespace, trailing junk and overflow. Stores the
+ * value in @p out and returns true on success; leaves @p out
+ * untouched otherwise.
  */
+bool parseU64(const char *text, std::uint64_t *out);
+
+/** parseU64(), also rejecting zero. */
 bool parsePositive(const char *text, std::uint64_t *out);
 
 /**

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <ostream>
+#include <utility>
 
 #include "util/bitops.hh"
 #include "util/logging.hh"
@@ -73,6 +74,18 @@ Pmf::fromDense(int num_bits, const std::vector<double> &dense,
     for (std::uint64_t x = 0; x < dense.size(); ++x)
         if (dense[x] > prune)
             pmf.entries_.push_back({x, dense[x]});
+    return pmf;
+}
+
+Pmf
+Pmf::fromSortedEntries(int num_bits, std::vector<Entry> entries)
+{
+    for (std::size_t i = 1; i < entries.size(); ++i)
+        if (entries[i - 1].outcome >= entries[i].outcome)
+            panic("Pmf::fromSortedEntries: outcomes do not strictly "
+                  "ascend");
+    Pmf pmf(num_bits);
+    pmf.entries_ = std::move(entries);
     return pmf;
 }
 

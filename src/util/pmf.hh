@@ -55,6 +55,15 @@ class Pmf
     static Pmf fromDense(int num_bits, const std::vector<double> &dense,
                          double prune = 0.0);
 
+    /**
+     * Adopt @p entries as the support, without copying. Panics
+     * unless the outcomes strictly ascend, so a kernel that rewrites
+     * a copy of entries() can hand its result back without breaking
+     * the sorted-support invariant.
+     */
+    static Pmf fromSortedEntries(int num_bits,
+                                 std::vector<Entry> entries);
+
     /** Number of measured bits each outcome spans. */
     int numBits() const { return numBits_; }
 
@@ -78,18 +87,6 @@ class Pmf
 
     /** Rescale so the total mass is 1 (no-op on an empty PMF). */
     void normalize();
-
-    /**
-     * Multiply every probability by @p factor(outcome), in outcome
-     * order. The support and its order are left unchanged.
-     */
-    template <typename Factor>
-    void
-    scale(Factor &&factor)
-    {
-        for (Entry &e : entries_)
-            e.p *= factor(e.outcome);
-    }
 
     /** Expand into a dense vector of length 2^numBits. */
     std::vector<double> toDense() const;

@@ -68,6 +68,52 @@ TEST(SpatialPlan, WindowCountPerBasisMatchesSubsetting)
                   windowSubsets(plan.bases.bases[b], 2).size());
 }
 
+/** plan.marginals is duplicate-free and every binding's
+ * marginalIndex names its own (coverIndex, marginalPositions). */
+void
+expectSharedMarginals(const SpatialPlan &plan)
+{
+    for (std::size_t i = 0; i < plan.marginals.size(); ++i)
+        for (std::size_t j = i + 1; j < plan.marginals.size(); ++j)
+            EXPECT_FALSE(plan.marginals[i].coverIndex ==
+                             plan.marginals[j].coverIndex &&
+                         plan.marginals[i].positions ==
+                             plan.marginals[j].positions)
+                << i << " duplicates " << j;
+    for (const auto &bw : plan.basisWindows)
+        for (const auto &binding : bw) {
+            ASSERT_LT(binding.marginalIndex, plan.marginals.size());
+            const auto &m = plan.marginals[binding.marginalIndex];
+            EXPECT_EQ(m.coverIndex, binding.coverIndex);
+            EXPECT_EQ(m.positions, binding.marginalPositions);
+        }
+}
+
+std::size_t
+bindingCount(const SpatialPlan &plan)
+{
+    std::size_t n = 0;
+    for (const auto &bw : plan.basisWindows)
+        n += bw.size();
+    return n;
+}
+
+TEST(SpatialPlan, SharedMarginalsAreDistinctAndResolve)
+{
+    const auto fig6 = buildSpatialPlan(fig6Hamiltonian(), 2);
+    expectSharedMarginals(fig6);
+
+    const auto h6 = buildSpatialPlan(molecule("H6-10"), 2);
+    expectSharedMarginals(h6);
+    EXPECT_EQ(h6.marginals.size(), 103u);
+    EXPECT_EQ(bindingCount(h6), 5848u);
+
+    const auto ch4 = buildSpatialPlan(molecule("CH4-6"), 2);
+    expectSharedMarginals(ch4);
+    EXPECT_EQ(ch4.marginals.size(), 54u);
+    EXPECT_EQ(bindingCount(ch4), 284u);
+}
+
 TEST(SpatialPlan, SummaryRenders)
 {
     const auto plan = buildSpatialPlan(fig6Hamiltonian(), 2);

@@ -104,6 +104,29 @@ TEST(FaultInjector, ParsePlanRejectsMalformedSpecs)
 
     EXPECT_FALSE(parseFaultPlan("seed=", plan, error));
     EXPECT_FALSE(parseFaultPlan("seed=12x", plan, error));
+
+    // Counts are plain decimal digits: no sign (-1 used to wrap to
+    // 2^64 - 1), no leading space, nothing an int cannot hold.
+    EXPECT_FALSE(parseFaultPlan("seed=-1", plan, error));
+    EXPECT_FALSE(parseFaultPlan("seed=+1", plan, error));
+    EXPECT_FALSE(parseFaultPlan("deadline_ns= 5", plan, error));
+    EXPECT_FALSE(parseFaultPlan("latency_ns=-5", plan, error));
+    EXPECT_FALSE(parseFaultPlan("retries=-3", plan, error));
+    EXPECT_FALSE(parseFaultPlan("burst=4294967298", plan, error));
+    EXPECT_NE(error.find("bad value for fault plan key 'burst'"),
+              std::string::npos);
+}
+
+TEST(FaultInjector, ParsePlanKeepsZeroSeedAndDeadline)
+{
+    FaultPlan plan;
+    std::string error;
+    ASSERT_TRUE(parseFaultPlan("seed=0,deadline_ns=0,backoff_ns=0",
+                               plan, error))
+        << error;
+    EXPECT_EQ(plan.seed, 0u);
+    EXPECT_EQ(plan.deadlineNs, 0u);
+    EXPECT_EQ(plan.retryBackoffNs, 0u);
 }
 
 TEST(FaultInjector, ParsePlanSkipsEmptyItems)

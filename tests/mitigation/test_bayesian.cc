@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <utility>
+
 #include "mitigation/bayesian.hh"
+#include "util/bitops.hh"
+#include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace varsaw {
@@ -152,6 +158,164 @@ TEST(Bayesian, EmptyLocalSkipped)
     empty.pmf = Pmf(2); // no support
     Pmf out = bayesianReconstruct(global, {empty}, 1);
     EXPECT_LT(Pmf::tvDistance(out, global), 1e-12);
+}
+
+/**
+ * The four-pass update bayesianReconstruct ran before its two-pass
+ * kernel (marginal, scale, totalMass, normalize per local), kept as
+ * the reference the kernel must match bit for bit. The scale is the
+ * in-order multiply the removed Pmf::scale performed.
+ */
+Pmf
+fourPassReconstruct(const Pmf &global,
+                    const std::vector<LocalPmf> &locals, int passes)
+{
+    if (passes < 1)
+        panic("bayesianReconstruct: passes must be >= 1");
+
+    std::size_t width = 0;
+    for (const auto &local : locals)
+        width = std::max(width, local.positions.size());
+    if (width > 30)
+        panic("bayesianReconstruct: local spans too many bits");
+
+    Pmf out = global;
+    out.normalize();
+
+    std::vector<double> marg(std::size_t{1} << width);
+    std::vector<double> ratio(marg.size());
+
+    for (int pass = 0; pass < passes; ++pass) {
+        for (const auto &local : locals) {
+            if (local.pmf.supportSize() == 0)
+                continue;
+            const std::vector<int> &positions = local.positions;
+            const std::size_t n = std::size_t{1} << positions.size();
+
+            std::fill_n(marg.begin(), n, 0.0);
+            for (const Pmf::Entry &e : out.entries())
+                marg[gatherBits(e.outcome, positions)] += e.p;
+
+            std::fill_n(ratio.begin(), n, 0.0);
+            for (const Pmf::Entry &e : local.pmf.entries())
+                if (e.outcome < n)
+                    ratio[e.outcome] = e.p;
+            for (std::size_t s = 0; s < n; ++s)
+                ratio[s] = marg[s] <= 0.0 ? 1.0 : ratio[s] / marg[s];
+
+            std::vector<Pmf::Entry> scaled = out.entries();
+            for (Pmf::Entry &e : scaled)
+                e.p *= ratio[gatherBits(e.outcome, positions)];
+            out = Pmf::fromSortedEntries(out.numBits(),
+                                         std::move(scaled));
+            out.normalize();
+        }
+    }
+    return out;
+}
+
+/** Unnormalized global over @p bits with about @p support outcomes,
+ * about a tenth of them at exactly zero. */
+Pmf
+randomGlobal(Rng &rng, int bits, int support)
+{
+    Pmf global(bits);
+    for (int i = 0; i < support; ++i)
+        global.set(rng.uniformInt(std::uint64_t{1} << bits),
+                   rng.bernoulli(0.1) ? 0.0 : rng.uniform());
+    return global;
+}
+
+/** A local over @p width distinct random bits below @p bits, with
+ * some window outcomes missing and sometimes an outcome at or beyond
+ * 2^width (which the update must ignore). */
+LocalPmf
+randomLocal(Rng &rng, int bits, int width)
+{
+    std::vector<int> order(static_cast<std::size_t>(bits));
+    std::iota(order.begin(), order.end(), 0);
+    for (std::size_t i = order.size(); i > 1; --i)
+        std::swap(order[i - 1], order[rng.uniformInt(i)]);
+    LocalPmf local;
+    local.positions.assign(order.begin(), order.begin() + width);
+    local.pmf = Pmf(width);
+    const std::uint64_t n = std::uint64_t{1} << width;
+    for (std::uint64_t s = 0; s < n; ++s)
+        if (rng.bernoulli(0.8))
+            local.pmf.set(s, rng.uniform());
+    if (rng.bernoulli(0.3))
+        local.pmf.set(n + rng.uniformInt(4), rng.uniform());
+    return local;
+}
+
+TEST(Bayesian, TwoPassKernelMatchesFourPassReference)
+{
+    // Every stack width (0-5) and one runtime width (9) in each
+    // call, shuffled, plus empty locals, across 1-3 passes.
+    constexpr int kBits = 12;
+    Rng rng(2024);
+    for (int trial = 0; trial < 60; ++trial) {
+        const Pmf global =
+            randomGlobal(rng, kBits, 1 + static_cast<int>(
+                                          rng.uniformInt(300)));
+        std::vector<LocalPmf> locals;
+        for (int width : {0, 1, 2, 3, 4, 5, 9, 2, 2})
+            locals.push_back(randomLocal(rng, kBits, width));
+        LocalPmf empty;
+        empty.positions = {3, 7};
+        empty.pmf = Pmf(2);
+        locals.push_back(empty);
+        for (std::size_t i = locals.size(); i > 1; --i)
+            std::swap(locals[i - 1], locals[rng.uniformInt(i)]);
+        const int passes = 1 + trial % 3;
+        EXPECT_EQ(bayesianReconstruct(global, locals, passes),
+                  fourPassReconstruct(global, locals, passes))
+            << "trial " << trial;
+    }
+}
+
+TEST(Bayesian, TwoPassKernelMatchesReferenceOnDegenerateInputs)
+{
+    Rng rng(77);
+    std::vector<LocalPmf> locals;
+    for (int width : {1, 2, 5, 9})
+        locals.push_back(randomLocal(rng, 10, width));
+
+    // All-zero global: every normalize is a no-op, every ratio 1.
+    Pmf zeros(10);
+    for (std::uint64_t x : {3u, 17u, 256u, 1000u})
+        zeros.set(x, 0.0);
+    // Empty global and no locals at all.
+    const Pmf empty(10);
+    // Bit 0 is never set, so window outcome 1 of a local on bit 0
+    // has zero marginal mass; so has outcome 0b10 of {0, 4}, whose
+    // only carrier has probability zero.
+    Pmf lopsided(10);
+    lopsided.set(0b00000, 0.25);
+    lopsided.set(0b00010, 0.5);
+    lopsided.set(0b10000, 0.0);
+    lopsided.set(0b10010, 0.25);
+    LocalPmf bit0;
+    bit0.positions = {0};
+    bit0.pmf = Pmf(1);
+    bit0.pmf.set(0, 0.3);
+    bit0.pmf.set(1, 0.7);
+    LocalPmf pair;
+    pair.positions = {0, 4};
+    pair.pmf = Pmf(2);
+    for (std::uint64_t s = 0; s < 4; ++s)
+        pair.pmf.set(s, 0.1 + 0.2 * static_cast<double>(s));
+
+    for (int passes = 1; passes <= 3; ++passes) {
+        EXPECT_EQ(bayesianReconstruct(zeros, locals, passes),
+                  fourPassReconstruct(zeros, locals, passes));
+        EXPECT_EQ(bayesianReconstruct(empty, locals, passes),
+                  fourPassReconstruct(empty, locals, passes));
+        EXPECT_EQ(bayesianReconstruct(zeros, {}, passes),
+                  fourPassReconstruct(zeros, {}, passes));
+        EXPECT_EQ(bayesianReconstruct(lopsided, {bit0, pair}, passes),
+                  fourPassReconstruct(lopsided, {bit0, pair}, passes));
+    }
 }
 
 /** Property: reconstruction never produces negative probabilities. */

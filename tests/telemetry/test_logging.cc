@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -135,6 +136,21 @@ TEST(Logging, FilterIsMonotonic)
         }
         seen_enabled = seen_enabled || logEnabled(level);
     }
+}
+
+TEST(LoggingDeathTest, UnknownLevelWarnsAndMeansInfo)
+{
+    // The level is read once per process, so the check runs in a
+    // freshly executed child ("threadsafe" death-test style).
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    ::setenv("VARSAW_LOG_LEVEL", "verbose", 1);
+    EXPECT_EXIT(std::exit(logEnabled(LogLevel::Info) &&
+                                  !logEnabled(LogLevel::Debug)
+                              ? 0
+                              : 1),
+                ::testing::ExitedWithCode(0),
+                "warn: VARSAW_LOG_LEVEL: unknown level 'verbose'");
+    ::unsetenv("VARSAW_LOG_LEVEL");
 }
 
 TEST(Logging, DebugMacroCompilesAndRespectsBuildType)

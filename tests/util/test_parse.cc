@@ -37,6 +37,24 @@ TEST(ParsePositive, AcceptsOnlyWholePositiveDecimals)
     EXPECT_FALSE(parsePositive(nullptr, &value));
 }
 
+TEST(ParseU64, AcceptsZeroAndOtherwiseMatchesParsePositive)
+{
+    std::uint64_t value = 7;
+    EXPECT_TRUE(parseU64("0", &value));
+    EXPECT_EQ(value, 0u);
+    EXPECT_TRUE(parseU64("18446744073709551615", &value));
+    EXPECT_EQ(value, 18446744073709551615ull);
+
+    for (const char *bad :
+         {"-1", "4x", "3.9", "", " 4", "+4", "0x10",
+          "18446744073709551616"}) {
+        value = 7;
+        EXPECT_FALSE(parseU64(bad, &value)) << "'" << bad << "'";
+        EXPECT_EQ(value, 7u) << "'" << bad << "'";
+    }
+    EXPECT_FALSE(parseU64(nullptr, &value));
+}
+
 TEST(ParsePositive, EnvKnobFallsBackOnMalformedValue)
 {
     const char *name = "VARSAW_TEST_PARSE_KNOB";

@@ -272,6 +272,22 @@ TEST(Pmf, EqualityIsExact)
     EXPECT_NE(a, wider);
 }
 
+TEST(Pmf, FromSortedEntriesAdoptsAscendingOutcomes)
+{
+    EXPECT_EQ(Pmf::fromSortedEntries(2, {{0b00, 0.5}, {0b11, 0.5}}),
+              makeBell());
+    EXPECT_EQ(Pmf::fromSortedEntries(3, {}), Pmf(3));
+}
+
+TEST(PmfDeathTest, FromSortedEntriesRejectsUnsortedOrDuplicate)
+{
+    EXPECT_DEATH(Pmf::fromSortedEntries(2, {{0b11, 0.5}, {0b00, 0.5}}),
+                 "ascend");
+    EXPECT_DEATH(Pmf::fromSortedEntries(
+                     2, {{0b00, 0.2}, {0b01, 0.3}, {0b01, 0.5}}),
+                 "ascend");
+}
+
 TEST(Pmf, ArgmaxFindsMode)
 {
     Pmf pmf(3);

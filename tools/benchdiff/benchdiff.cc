@@ -266,7 +266,16 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--threshold=", 0) == 0) {
-            threshold_pct = std::atof(arg.c_str() + 12);
+            // The whole value must be a finite, non-negative number:
+            // atof read "abc" as 0, which gated every growth.
+            const char *text = arg.c_str() + 12;
+            char *end = nullptr;
+            threshold_pct = std::strtod(text, &end);
+            if (end == text || *end != '\0' ||
+                !std::isfinite(threshold_pct) || threshold_pct < 0.0) {
+                usage(argv[0]);
+                return 2;
+            }
         } else if (arg == "--report-only") {
             report_only = true;
         } else if (arg == "--help" || arg == "-h") {
