@@ -9,13 +9,14 @@
  * optimizer-style parameter points with SPSA-like double probes).
  * Row 1 is the serial private runtime; rows 2/4/8 are one-session
  * ExecutionServices with that many workers (the only batch worker
- * pool). Expected shape: no scaling — medians of 0.7x, 0.9x and
+ * pool). Expected shape: no scaling — medians of 0.8x, 1.0x and
  * 1.0x of the serial rate at 2, 4 and 8 workers (10 runs at
  * VARSAW_BENCH_TICKS=200 on a 4-thread host, g++ 12, AVX-512;
- * single runs 0.6-1.1x). A job here is a few microseconds of
- * sampling, so hand-off costs about what a worker saves: batch
- * workers do not scale this workload yet — identical energies at
- * every worker count, and a cache hit rate reflecting the
+ * single runs 0.6-1.2x). A job here is a few microseconds of
+ * sampling plus a from-scratch hash of its plain circuit on the
+ * submitting thread, so hand-off costs about what a worker saves:
+ * batch workers do not scale this workload yet — identical energies
+ * at every worker count, and a cache hit rate reflecting the
  * workload's redundancy.
  *
  * Part 2 — shared service vs per-estimator runtimes: two concurrent
@@ -497,7 +498,7 @@ main(int argc, char **argv)
     if (!parseStandardArgs(argc, argv))
         return 2;
     banner("Runtime scaling - batched execution throughput",
-           "no scaling across worker counts (medians 0.7-1.0x of "
+           "no scaling across worker counts (medians 0.8-1.0x of "
            "serial at 2-8 service workers on a 4-thread host); "
            "identical results at every worker count");
 

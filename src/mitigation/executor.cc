@@ -99,7 +99,7 @@ Executor::execute(const Circuit &circuit,
     // Non-owning view: the caller's circuit and params are borrowed
     // for the duration of the call, never deep-copied into a
     // transient job.
-    const JobView job{circuit, params, shots, nullptr};
+    const JobView job{circuit, params, shots, nullptr, std::nullopt};
     if (job.numMeasured() == 0)
         throw StatusError(invalidArgumentError(
             "Executor::execute: circuit has no measurements"));
@@ -119,8 +119,8 @@ Executor::executeJob(const Circuit &circuit,
                      const std::vector<double> &params,
                      std::uint64_t shots, std::uint64_t stream)
 {
-    return executeJob(JobView{circuit, params, shots, nullptr},
-                      stream);
+    return executeJob(
+        JobView{circuit, params, shots, nullptr, std::nullopt}, stream);
 }
 
 Pmf
@@ -246,7 +246,7 @@ Pmf
 IdealExecutor::executeImpl(const JobView &job, Rng &rng)
 {
     auto probs = simEngine().measuredMarginal(
-        job.prep, job.circuit, job.params);
+        job.prep, job.circuit, job.params, job.prepKey);
     Pmf exact = Pmf::fromDense(job.numMeasured(), probs, 1e-14);
     if (job.shots == 0)
         return exact;
@@ -267,7 +267,7 @@ std::vector<double>
 NoisyExecutor::noisyMarginal(const JobView &job)
 {
     auto probs = simEngine().measuredMarginal(
-        job.prep, job.circuit, job.params);
+        job.prep, job.circuit, job.params, job.prepKey);
 
     if (mode_ == GateNoiseMode::AnalyticDepolarizing) {
         // Survival probability of the whole gate sequence (prep +

@@ -48,6 +48,13 @@ DeviceModel::DeviceModel(std::string name,
 {
     if (readout_.empty())
         panic("DeviceModel: must have at least one qubit");
+    ranking_.resize(readout_.size());
+    std::iota(ranking_.begin(), ranking_.end(), 0);
+    std::stable_sort(ranking_.begin(), ranking_.end(),
+                     [&](int a, int b) {
+                         return readout_[a].meanError() <
+                             readout_[b].meanError();
+                     });
 }
 
 std::vector<ReadoutError>
@@ -58,13 +65,8 @@ DeviceModel::effectiveReadout(int num_measured, bool best_mapping) const
 
     std::vector<ReadoutError> slots;
     slots.reserve(num_measured);
-    if (best_mapping) {
-        for (int q : bestQubits(num_measured))
-            slots.push_back(readout_[q]);
-    } else {
-        for (int q = 0; q < num_measured; ++q)
-            slots.push_back(readout_[q]);
-    }
+    for (int i = 0; i < num_measured; ++i)
+        slots.push_back(readout_[best_mapping ? ranking_[i] : i]);
 
     const double factor = crosstalkFactor(num_measured,
                                           crosstalkSlope_);
@@ -76,60 +78,50 @@ DeviceModel::effectiveReadout(int num_measured, bool best_mapping) const
 std::vector<int>
 DeviceModel::bestQubits(int m) const
 {
-    std::vector<int> order(numQubits());
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-        return readout_[a].meanError() < readout_[b].meanError();
-    });
-    order.resize(m);
-    return order;
+    if (m < 0 || m > numQubits())
+        panic("DeviceModel::bestQubits: bad qubit count");
+    return std::vector<int>(ranking_.begin(), ranking_.begin() + m);
 }
 
 DeviceModel
 DeviceModel::scaled(double factor) const
 {
-    DeviceModel d(*this);
     std::ostringstream name;
     name << name_ << "-x" << factor;
-    d.name_ = name.str();
-    for (auto &e : d.readout_)
+    std::vector<ReadoutError> readout = readout_;
+    for (auto &e : readout)
         e = e.scaled(factor);
-    d.gate1Error_ = std::min(0.75, gate1Error_ * factor);
-    d.gate2Error_ = std::min(0.75, gate2Error_ * factor);
-    return d;
+    return DeviceModel(name.str(), std::move(readout), crosstalkSlope_,
+                       std::min(0.75, gate1Error_ * factor),
+                       std::min(0.75, gate2Error_ * factor));
 }
 
 DeviceModel
 DeviceModel::drifted(std::uint64_t seed, double relative_sigma) const
 {
     Rng rng(seed);
-    DeviceModel d(*this);
-    d.name_ = name_ + "-drift";
-    for (auto &e : d.readout_) {
+    std::vector<ReadoutError> readout = readout_;
+    for (auto &e : readout) {
         const double factor =
             std::exp(rng.normal(0.0, relative_sigma));
         e = e.scaled(factor);
     }
-    return d;
+    return DeviceModel(name_ + "-drift", std::move(readout),
+                       crosstalkSlope_, gate1Error_, gate2Error_);
 }
 
 DeviceModel
 DeviceModel::withoutCrosstalk() const
 {
-    DeviceModel d(*this);
-    d.crosstalkSlope_ = 0.0;
-    d.name_ = name_ + "-noxtalk";
-    return d;
+    return DeviceModel(name_ + "-noxtalk", readout_, 0.0, gate1Error_,
+                       gate2Error_);
 }
 
 DeviceModel
 DeviceModel::withoutGateNoise() const
 {
-    DeviceModel d(*this);
-    d.gate1Error_ = 0.0;
-    d.gate2Error_ = 0.0;
-    d.name_ = name_ + "-meas-only";
-    return d;
+    return DeviceModel(name_ + "-meas-only", readout_, crosstalkSlope_,
+                       0.0, 0.0);
 }
 
 std::string
@@ -185,12 +177,9 @@ DeviceModel::jakarta()
 DeviceModel
 DeviceModel::withoutReadoutError() const
 {
-    DeviceModel d(*this);
-    for (auto &e : d.readout_)
-        e = ReadoutError{};
-    d.crosstalkSlope_ = 0.0;
-    d.name_ = name_ + "-gate-only";
-    return d;
+    return DeviceModel(name_ + "-gate-only",
+                       std::vector<ReadoutError>(readout_.size()), 0.0,
+                       gate1Error_, gate2Error_);
 }
 
 DeviceModel

@@ -102,7 +102,11 @@ class DeviceModel
     std::vector<ReadoutError>
     effectiveReadout(int num_measured, bool best_mapping) const;
 
-    /** Indices of the @p m qubits with lowest mean readout error. */
+    /**
+     * Indices of the @p m qubits with lowest mean readout error: a
+     * prefix of the ranking the constructor computes. Panics unless
+     * 0 <= m <= numQubits().
+     */
     std::vector<int> bestQubits(int m) const;
 
     /**
@@ -167,6 +171,12 @@ class DeviceModel
     double crosstalkSlope_ = 0.0;
     double gate1Error_ = 0.0;
     double gate2Error_ = 0.0;
+    /**
+     * Every qubit, ascending by mean readout error (ties in index
+     * order). Computed once by the constructor, which every factory
+     * builds through, so it always matches readout_.
+     */
+    std::vector<int> ranking_;
 };
 
 } // namespace varsaw

@@ -4,7 +4,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "sim/sim_engine.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/profiler.hh"
 #include "telemetry/trace.hh"
@@ -65,38 +64,6 @@ groupByPrepKey(const std::vector<PrepKey> &keys)
 }
 
 namespace {
-
-/**
- * Grouping keys for the prefix-aware scheduler: one PrepKey per job
- * of @p jobs, memoizing the prep structural hash per distinct
- * shared prep circuit.
- */
-std::vector<PrepKey>
-prepKeysOf(const std::vector<CircuitJob> &jobs)
-{
-    std::vector<PrepKey> keys;
-    keys.reserve(jobs.size());
-    // The prep structural hash is memoized per distinct shared prep
-    // — safe to key by pointer because the jobs' shared_ptrs keep
-    // every prep alive for the whole loop.
-    std::unordered_map<const Circuit *, std::uint64_t> prep_hash;
-    for (const CircuitJob &job : jobs) {
-        if (job.prep) {
-            auto [it, inserted] =
-                prep_hash.try_emplace(job.prep.get(), 0);
-            if (inserted)
-                it->second = circuitPrefixHash(
-                    *job.prep,
-                    splitPrepSuffix(*job.prep).prefixOps);
-            keys.push_back(
-                PrepKey{it->second, parameterHash(job.params)});
-        } else {
-            keys.push_back(
-                prepKeyOf(nullptr, job.circuit, job.params));
-        }
-    }
-    return keys;
-}
 
 /**
  * Prefix-aware placement: partition indices [0, keys.size()) of
@@ -182,7 +149,7 @@ PrimaryJob::run() const
 {
     try {
         done->set_value(ledger->executeAndPublish(
-            *backend, (*jobs)[index], key, publish));
+            *backend, (*jobs)[index].view(prepKey), key, publish));
     } catch (...) {
         done->set_exception(std::current_exception());
     }
@@ -204,22 +171,24 @@ admitChunked(const Admitter &who, const Batch &batch,
     admitted.futures.reserve(batch.size());
     auto jobs = std::make_shared<const std::vector<CircuitJob>>(
         batch.jobs());
-    const std::vector<PrepKey> prep_keys = prepKeysOf(*jobs);
+    const std::vector<JobIdentity> ids = identifyJobs(*jobs);
     std::vector<PrimaryJob> primaries;
     std::vector<PrepKey> primary_keys;
     for (std::size_t i = 0; i < jobs->size(); ++i) {
-        const JobKey key = makeJobKey((*jobs)[i]);
+        const JobIdentity &id = ids[i];
         std::shared_ptr<std::promise<Pmf>> publish;
-        if (!claimOne(who, (*jobs)[i], key, publish, admitted.futures,
-                      admitted.tally))
+        if (!claimOne(who, (*jobs)[i], id.key, publish,
+                      admitted.futures, admitted.tally))
             continue;
         // An explicit promise rather than a packaged_task, so the
         // shed path can fail the future without running the job.
         auto done = std::make_shared<std::promise<Pmf>>();
         admitted.futures.push_back(done->get_future());
-        primaries.push_back({&who.ledger, &who.backend, jobs, i, key,
-                             std::move(publish), std::move(done)});
-        primary_keys.push_back(prep_keys[i]);
+        const PrepKey prep_key = prepKeyFor((*jobs)[i], id);
+        primaries.push_back({&who.ledger, &who.backend, jobs, i, id.key,
+                             prep_key, std::move(publish),
+                             std::move(done)});
+        primary_keys.push_back(prep_key);
     }
     for (const auto &indices :
          prefixScheduleIndexChunks(primary_keys, threads)) {
@@ -237,15 +206,18 @@ admitInline(const Admitter &who, const Batch &batch)
     std::vector<std::future<Pmf>> futures;
     futures.reserve(batch.size());
     AdmissionTally tally;
-    for (const CircuitJob &job : batch.jobs()) {
-        const JobKey key = makeJobKey(job);
+    const std::vector<JobIdentity> ids = identifyJobs(batch.jobs());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const CircuitJob &job = batch.jobs()[i];
+        const JobIdentity &id = ids[i];
         std::shared_ptr<std::promise<Pmf>> publish;
-        if (!claimOne(who, job, key, publish, futures, tally))
+        if (!claimOne(who, job, id.key, publish, futures, tally))
             continue;
         std::promise<Pmf> done;
         try {
             done.set_value(who.ledger.executeAndPublish(
-                who.backend, job, key, publish));
+                who.backend, job.view(prepKeyFor(job, id)), id.key,
+                publish));
         } catch (...) {
             done.set_exception(std::current_exception());
         }

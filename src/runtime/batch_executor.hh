@@ -136,6 +136,8 @@ struct PrimaryJob
     std::shared_ptr<const std::vector<CircuitJob>> jobs;
     std::size_t index;
     JobKey key;
+    /** The job's prep key, computed at admission (prepKeyFor). */
+    PrepKey prepKey;
     /** The ledger claim (null when the submitter's cache is off). */
     std::shared_ptr<std::promise<Pmf>> publish;
     /** Resolves the caller's future. */
@@ -173,7 +175,9 @@ struct AdmittedBatch
 
 /**
  * The per-job admission core of the service sessions (BatchExecutor
- * uses its inline form, admitInline), in submission order: job key,
+ * uses its inline form, admitInline), in submission order: content
+ * identity (identifyJobs: each job's JobKey, and the PrepKey of each
+ * job that executes, hashed once here and carried to the SimEngine),
  * "enqueue" trace event, and — with the cache on — a ledger claim.
  * The ledger decides whether a submission is its key's primary (the
  * one that executes) or a duplicate deferred onto the primary's future

@@ -128,7 +128,7 @@ JobLedger::deferToPrimary(Claim claim)
 
 Pmf
 JobLedger::executeAndPublish(
-    Executor &backend, const CircuitJob &job, const JobKey &key,
+    Executor &backend, const JobView &job, const JobKey &key,
     const std::shared_ptr<std::promise<Pmf>> &publish)
 {
     // Quarantine fast path: a poisoned key never reaches the
@@ -152,7 +152,7 @@ JobLedger::executeAndPublish(
 
     telemetry::ScopedSpan span("job", jobStream(key));
     StatusOr<Pmf> result =
-        backend.tryExecuteJob(job.view(), jobStream(key));
+        backend.tryExecuteJob(job, jobStream(key));
     if (!result.ok()) {
         // Poison job: retries exhausted (or permanently invalid).
         // Quarantine the key, retract its entry and fail the

@@ -154,7 +154,8 @@ class JobLedger
      * and run the primary-side bookkeeping in its one canonical
      * order: execute, store() through @p publish (when non-null —
      * cache-off paths never claimed and pass null), return the
-     * result.
+     * result. @p job goes to the backend as given, so admission
+     * passes a view carrying the prep key it computed.
      *
      * Fault tolerance: execution goes through
      * Executor::tryExecuteJob (deadline + bounded retry). A
@@ -165,7 +166,7 @@ class JobLedger
      * StatusError), and a StatusError is thrown to the caller.
      */
     Pmf executeAndPublish(
-        Executor &backend, const CircuitJob &job, const JobKey &key,
+        Executor &backend, const JobView &job, const JobKey &key,
         const std::shared_ptr<std::promise<Pmf>> &publish);
 
     /**

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "sim/job.hh"
@@ -72,6 +73,63 @@ foldMeasurements(HashStream &h, const std::vector<int> &measured)
             static_cast<std::int64_t>(q)));
 }
 
+/**
+ * jobCircuitHash's fold state once a prefixed job's prep is in: the
+ * width, the combined parameter count @p param_count, then every prep
+ * op. Shared by every job over the same prep at the same count.
+ */
+HashStream
+foldPrepHead(const Circuit &prep, int param_count)
+{
+    HashStream h;
+    h.fold(static_cast<std::uint64_t>(prep.numQubits()));
+    h.fold(static_cast<std::uint64_t>(param_count));
+    for (const auto &op : prep.ops())
+        foldOp(h, op);
+    return h;
+}
+
+/** Finish a prefixed job's hash: suffix ops, then its measurements. */
+std::uint64_t
+finishSuffix(HashStream h, const Circuit &suffix)
+{
+    for (const auto &op : suffix.ops())
+        foldOp(h, op);
+    foldMeasurements(h, suffix.measuredQubits());
+    return h.value();
+}
+
+/** Parameter count of the flattened (prep + suffix) circuit. */
+int
+flattenedParamCount(const Circuit &prep, const Circuit &suffix)
+{
+    return std::max(prep.numParams(), suffix.numParams());
+}
+
+/**
+ * PrepKey::structure of a prep circuit or a plain circuit: the hash
+ * of its ops before the trailing basis-change run. The prep circuit
+ * gets the same split as a plain circuit — if the ansatz itself ends
+ * with H/S/Sdg gates, those belong to the suffix in BOTH shapes, so a
+ * (prep, suffix) job and its flattened twin hash to the same key.
+ */
+std::uint64_t
+prepStructureHash(const Circuit &circuit)
+{
+    return circuitPrefixHash(circuit,
+                             splitPrepSuffix(circuit).prefixOps);
+}
+
+/** Whether two parameter vectors are bitwise equal. */
+bool
+sameBits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+        (a.empty() ||
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) ==
+             0);
+}
+
 } // namespace
 
 std::uint64_t
@@ -107,16 +165,10 @@ jobCircuitHash(const CircuitJob &job)
     // Mirror circuitStructuralHash over the flattened circuit:
     // width, combined parameter count, prep ops then suffix ops,
     // then the suffix's measurement spec.
-    HashStream h;
-    h.fold(static_cast<std::uint64_t>(job.prep->numQubits()));
-    h.fold(static_cast<std::uint64_t>(std::max(
-        job.prep->numParams(), job.circuit.numParams())));
-    for (const auto &op : job.prep->ops())
-        foldOp(h, op);
-    for (const auto &op : job.circuit.ops())
-        foldOp(h, op);
-    foldMeasurements(h, job.circuit.measuredQubits());
-    return h.value();
+    return finishSuffix(
+        foldPrepHead(*job.prep,
+                     flattenedParamCount(*job.prep, job.circuit)),
+        job.circuit);
 }
 
 std::uint64_t
@@ -147,6 +199,76 @@ makeJobKey(const CircuitJob &job)
 {
     return {jobCircuitHash(job), parameterHash(job.params),
             job.shots};
+}
+
+PrefixSplit
+splitPrepSuffix(const Circuit &circuit)
+{
+    const auto &ops = circuit.ops();
+    std::size_t k = ops.size();
+    while (k > 0 && isBasisChangeGate(ops[k - 1].kind))
+        --k;
+    return {k};
+}
+
+PrepKey
+prepKeyOf(const Circuit *prep, const Circuit &circuit,
+          const std::vector<double> &params)
+{
+    return {prepStructureHash(prep ? *prep : circuit),
+            parameterHash(params)};
+}
+
+std::vector<JobIdentity>
+identifyJobs(const std::vector<CircuitJob> &jobs)
+{
+    std::vector<JobIdentity> ids;
+    ids.reserve(jobs.size());
+    // One-entry "same as the previous job" memos: every estimator
+    // submits one prep and one parameter vector per batch. The prep
+    // memo is keyed on (pointer, flattened parameter count) because
+    // the count is folded before the prep ops; the parameter memo is
+    // reused only for a bitwise-equal vector.
+    const Circuit *memo_prep = nullptr;
+    int memo_param_count = 0;
+    HashStream memo_head;
+    std::uint64_t memo_structure = 0;
+    const std::vector<double> *memo_params = nullptr;
+    std::uint64_t memo_params_hash = 0;
+    for (const CircuitJob &job : jobs) {
+        if (!memo_params || !sameBits(*memo_params, job.params)) {
+            memo_params = &job.params;
+            memo_params_hash = parameterHash(job.params);
+        }
+        JobIdentity id;
+        id.key.paramsHash = memo_params_hash;
+        id.key.shots = job.shots;
+        if (job.prep) {
+            const int param_count =
+                flattenedParamCount(*job.prep, job.circuit);
+            if (job.prep.get() != memo_prep ||
+                param_count != memo_param_count) {
+                memo_prep = job.prep.get();
+                memo_param_count = param_count;
+                memo_head = foldPrepHead(*job.prep, param_count);
+                memo_structure = prepStructureHash(*job.prep);
+            }
+            id.key.circuitHash = finishSuffix(memo_head, job.circuit);
+            id.prep = PrepKey{memo_structure, memo_params_hash};
+        } else {
+            id.key.circuitHash = circuitStructuralHash(job.circuit);
+        }
+        ids.push_back(id);
+    }
+    return ids;
+}
+
+PrepKey
+prepKeyFor(const CircuitJob &job, const JobIdentity &id)
+{
+    if (id.prep)
+        return *id.prep;
+    return {prepStructureHash(job.circuit), id.key.paramsHash};
 }
 
 std::uint64_t

@@ -21,6 +21,11 @@
  * epoch before the birthday bound bites. Workloads here submit a
  * few thousand structures per run, so this is accepted rather than
  * paid for with per-entry job storage.
+ *
+ * A PrepKey identifies the state a job's prep prefix prepares (the
+ * SimEngine's cache key). Admission computes each job's keys once,
+ * with identifyJobs and prepKeyFor; makeJobKey and prepKeyOf are the
+ * from-scratch reference they must equal.
  */
 
 #ifndef VARSAW_SIM_CIRCUIT_HASH_HH
@@ -28,9 +33,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sim/circuit.hh"
+#include "util/rng.hh"
 
 namespace varsaw {
 
@@ -92,6 +99,104 @@ std::uint64_t jobCircuitHash(const CircuitJob &job);
 
 /** Compute the content key of a job. */
 JobKey makeJobKey(const CircuitJob &job);
+
+/** Content identity of a prepared state: prefix structure + params. */
+struct PrepKey
+{
+    std::uint64_t structure = 0; //!< prefix-ops structural hash
+    std::uint64_t params = 0;    //!< quantized parameter hash
+
+    bool operator==(const PrepKey &other) const
+    {
+        return structure == other.structure &&
+            params == other.params;
+    }
+
+    /** Single-word digest (display / diagnostics; the scheduler and
+     * the cache compare full keys, so digest collisions only ever
+     * cost a hash-bucket probe, never correctness). */
+    std::uint64_t combined() const
+    {
+        return mix64(structure, params);
+    }
+};
+
+/** Hash functor so PrepKey can key an unordered_map. */
+struct PrepKeyHasher
+{
+    std::size_t operator()(const PrepKey &key) const
+    {
+        const std::uint64_t h = mix64(key.structure, key.params);
+        if constexpr (sizeof(std::size_t) >= sizeof(std::uint64_t)) {
+            return static_cast<std::size_t>(h);
+        } else {
+            // 32-bit size_t: fold the high word in instead of
+            // truncating it away, so both 64-bit inputs still
+            // influence the bucket.
+            return static_cast<std::size_t>(h ^ (h >> 32));
+        }
+    }
+};
+
+/** Where a plain circuit divides into prep prefix and suffix. */
+struct PrefixSplit
+{
+    /** Ops [0, prefixOps) prepare the state; the rest measure it. */
+    std::size_t prefixOps = 0;
+};
+
+/**
+ * Split a full circuit at the trailing run of basis-change gates
+ * (H, S, Sdg). The same ansatz therefore yields the same prefix
+ * under every measurement basis, which is what lets the prepared
+ * state be shared across them.
+ */
+PrefixSplit splitPrepSuffix(const Circuit &circuit);
+
+/**
+ * Prep-state identity of a circuit: the structural hash of its prep
+ * prefix (the attached prep circuit's ops, or the leading
+ * splitPrepSuffix() slice of a plain circuit) combined with the
+ * quantized parameter hash. @p prep may be null.
+ */
+PrepKey prepKeyOf(const Circuit *prep, const Circuit &circuit,
+                  const std::vector<double> &params);
+
+/** Content identity of one admitted job (see identifyJobs). */
+struct JobIdentity
+{
+    /** Ledger key and sampling-stream seed: makeJobKey(job). */
+    JobKey key;
+    /** prepKeyOf(job.prep, job.circuit, job.params) of a prefixed
+     * job; empty for a plain job (see prepKeyFor). */
+    std::optional<PrepKey> prep;
+};
+
+/**
+ * Identity of every job of @p jobs, computed once at admission:
+ * element i holds makeJobKey(jobs[i]) exactly and, for a prefixed
+ * job, its prepKeyOf(), but the work shared across the batch is done
+ * once. A run of jobs over one shared prep (pointer identity, at one
+ * max(prep, suffix) parameter count) folds the prep once — its
+ * prefix hash and the jobCircuitHash state after its ops — and a
+ * run of bitwise-equal parameter vectors is hashed once; per job
+ * only the suffix ops and measurement spec are folded. Plain jobs
+ * get their JobKey from scratch. The memo is local to the call: the
+ * jobs keep every prep alive while it runs, so pointer identity is
+ * valid.
+ */
+std::vector<JobIdentity>
+identifyJobs(const std::vector<CircuitJob> &jobs);
+
+/**
+ * The PrepKey of @p job, whose identifyJobs() entry is @p id: the
+ * carried key of a prefixed job, or — for a plain job — its
+ * splitPrepSuffix() prefix hashed now, with the carried parameter
+ * hash. Equal to prepKeyOf(). Admission calls it only for jobs that
+ * execute: a plain prefix costs a full op-by-op fold, which a
+ * duplicate answered by the ledger never needs.
+ */
+PrepKey prepKeyFor(const CircuitJob &job, const JobIdentity &id);
 
 /**
  * Sampling-stream id of a job: a pure function of its content key.

@@ -30,10 +30,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "sim/circuit.hh"
+#include "sim/circuit_hash.hh"
 
 namespace varsaw {
 
@@ -54,6 +56,13 @@ struct JobView
     std::uint64_t shots = 0;
     /** Shared state-prep prefix; null for a plain job. */
     const Circuit *prep = nullptr;
+    /**
+     * prepKeyOf(prep, circuit, params), when admission already
+     * computed it (identifyJobs, prepKeyFor). Views built elsewhere
+     * leave it empty and the SimEngine derives the key itself — a
+     * default key would alias every such view onto one cached state.
+     */
+    std::optional<PrepKey> prepKey;
 
     /** Register width (the prep's width when one is attached). */
     int numQubits() const
@@ -114,10 +123,13 @@ struct CircuitJob
     /** Shared state-prep prefix; null for a plain job. */
     std::shared_ptr<const Circuit> prep;
 
-    /** Non-owning view of this job (valid while the job lives). */
-    JobView view() const
+    /**
+     * Non-owning view of this job (valid while the job lives),
+     * carrying @p prep_key when the caller knows it.
+     */
+    JobView view(std::optional<PrepKey> prep_key = std::nullopt) const
     {
-        return {circuit, params, shots, prep.get()};
+        return {circuit, params, shots, prep.get(), prep_key};
     }
 
     /** Register width (the prep's width when one is attached). */

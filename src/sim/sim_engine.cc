@@ -7,11 +7,10 @@
 #include <string>
 #include <utility>
 
-// The prep-identity hashes deliberately reuse the shared content
-// hashing (structural circuit hash + quantized parameter hash) so
-// that the engine's prep keys, the JobLedger's job keys, and the
-// batch scheduler's grouping keys all agree on what "the same
-// computation" means.
+// Prep keys come from the shared content hashing (prepKeyOf, or the
+// key admission computed with prepKeyFor), so the engine's cache
+// keys, the JobLedger's job keys and the batch scheduler's grouping
+// keys all agree on what "the same computation" means.
 #include "fault/fault_injector.hh"
 #include "sim/circuit_hash.hh"
 #include "sim/kernels/kernels.hh"
@@ -94,35 +93,6 @@ scratchShouldShrink(std::uint64_t capacity, std::uint64_t need)
 }
 
 } // namespace
-
-PrefixSplit
-splitPrepSuffix(const Circuit &circuit)
-{
-    const auto &ops = circuit.ops();
-    std::size_t k = ops.size();
-    while (k > 0 && isBasisChangeGate(ops[k - 1].kind))
-        --k;
-    return {k};
-}
-
-PrepKey
-prepKeyOf(const Circuit *prep, const Circuit &circuit,
-          const std::vector<double> &params)
-{
-    // The prep circuit gets the same trailing-run split as a plain
-    // circuit: if the ansatz itself ends with H/S/Sdg gates, those
-    // belong to the suffix in BOTH shapes, so a (prep, suffix) job
-    // and its flattened twin always hash to the same prep key.
-    PrepKey key;
-    if (prep)
-        key.structure = circuitPrefixHash(
-            *prep, splitPrepSuffix(*prep).prefixOps);
-    else
-        key.structure = circuitPrefixHash(
-            circuit, splitPrepSuffix(circuit).prefixOps);
-    key.params = parameterHash(params);
-    return key;
-}
 
 namespace {
 
@@ -288,7 +258,8 @@ SimEngine::SimEngine(SimEngineConfig config)
 std::vector<double>
 SimEngine::measuredMarginal(const Circuit *prep,
                             const Circuit &circuit,
-                            const std::vector<double> &params)
+                            const std::vector<double> &params,
+                            const std::optional<PrepKey> &key)
 {
     if (prep && prep->numQubits() != circuit.numQubits())
         panic("SimEngine: prep/suffix width mismatch");
@@ -339,8 +310,9 @@ SimEngine::measuredMarginal(const Circuit *prep,
         return sv.marginalProbabilities(circuit.measuredQubits());
     }
 
-    const PrepKey key = prepKeyOf(prep, circuit, params);
-    StateCache::StatePtr prepared = cache_.getOrPrepare(key, [&] {
+    const PrepKey prep_key =
+        key ? *key : prepKeyOf(prep, circuit, params);
+    StateCache::StatePtr prepared = cache_.getOrPrepare(prep_key, [&] {
         telemetry::ScopedSpan span("prep", 0);
         telemetry::ScopedPhase phase(telemetry::Phase::Prep);
         auto state = std::make_shared<Statevector>(n);

@@ -47,36 +47,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sim/circuit.hh"
+#include "sim/circuit_hash.hh"
 #include "sim/state_cache.hh"
 
 namespace varsaw {
-
-/** Where a plain circuit divides into prep prefix and suffix. */
-struct PrefixSplit
-{
-    /** Ops [0, prefixOps) prepare the state; the rest measure it. */
-    std::size_t prefixOps = 0;
-};
-
-/**
- * Split a full circuit at the trailing run of basis-change gates
- * (H, S, Sdg). The same ansatz therefore yields the same prefix
- * under every measurement basis, which is what lets the prepared
- * state be shared across them.
- */
-PrefixSplit splitPrepSuffix(const Circuit &circuit);
-
-/**
- * Prep-state identity of a circuit: the structural hash of its prep
- * prefix (the attached prep circuit's ops, or the leading
- * splitPrepSuffix() slice of a plain circuit) combined with the
- * quantized parameter hash. @p prep may be null.
- */
-PrepKey prepKeyOf(const Circuit *prep, const Circuit &circuit,
-                  const std::vector<double> &params);
 
 /** Work counters of the engine (all monotonic). */
 struct SimEngineStats
@@ -218,10 +196,15 @@ class SimEngine
      * circuit) and applying the suffix, at parameter values
      * @p params. Entry y sums |amp|^2 over basis states whose bits
      * at the measured positions spell y.
+     *
+     * @p key is the job's prepKeyOf(prep, circuit, params) when the
+     * caller already computed it (admission does, see prepKeyFor);
+     * without one the engine derives it.
      */
     std::vector<double>
     measuredMarginal(const Circuit *prep, const Circuit &circuit,
-                     const std::vector<double> &params);
+                     const std::vector<double> &params,
+                     const std::optional<PrepKey> &key = std::nullopt);
 
     /** Toggle prepared-state sharing (results are unaffected). */
     void setCacheEnabled(bool enabled)

@@ -40,48 +40,10 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "sim/circuit_hash.hh"
 #include "sim/statevector.hh"
-#include "util/rng.hh"
 
 namespace varsaw {
-
-/** Content identity of a prepared state: prefix structure + params. */
-struct PrepKey
-{
-    std::uint64_t structure = 0; //!< prefix-ops structural hash
-    std::uint64_t params = 0;    //!< quantized parameter hash
-
-    bool operator==(const PrepKey &other) const
-    {
-        return structure == other.structure &&
-            params == other.params;
-    }
-
-    /** Single-word digest (display / diagnostics; the scheduler and
-     * the cache compare full keys, so digest collisions only ever
-     * cost a hash-bucket probe, never correctness). */
-    std::uint64_t combined() const
-    {
-        return mix64(structure, params);
-    }
-};
-
-/** Hash functor so PrepKey can key an unordered_map. */
-struct PrepKeyHasher
-{
-    std::size_t operator()(const PrepKey &key) const
-    {
-        const std::uint64_t h = mix64(key.structure, key.params);
-        if constexpr (sizeof(std::size_t) >= sizeof(std::uint64_t)) {
-            return static_cast<std::size_t>(h);
-        } else {
-            // 32-bit size_t: fold the high word in instead of
-            // truncating it away, so both 64-bit inputs still
-            // influence the bucket.
-            return static_cast<std::size_t>(h ^ (h >> 32));
-        }
-    }
-};
 
 /** Hit/miss and memory accounting for the prepared-state cache. */
 struct StateCacheStats

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "noise/device_model.hh"
 
@@ -62,6 +64,43 @@ TEST(DeviceModel, BestQubitsSortedByError)
     for (int q = 0; q < d.numQubits(); ++q)
         EXPECT_LE(d.readout()[best[0]].meanError(),
                   d.readout()[q].meanError());
+}
+
+TEST(DeviceModel, BestQubitsRankingFollowsEveryFactory)
+{
+    // The ranking is computed once per constructed model; every
+    // copy-and-modify factory must rebuild it from its own errors.
+    auto reference = [](const DeviceModel &d) {
+        std::vector<int> order(d.numQubits());
+        for (int q = 0; q < d.numQubits(); ++q)
+            order[q] = q;
+        std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+            return d.readout()[a].meanError() <
+                d.readout()[b].meanError();
+        });
+        return order;
+    };
+    const DeviceModel mumbai = DeviceModel::mumbai();
+    for (const DeviceModel &d :
+         {mumbai, mumbai.scaled(1.7), mumbai.drifted(11, 0.5),
+          mumbai.withoutCrosstalk(), mumbai.withoutGateNoise(),
+          mumbai.withoutReadoutError(), DeviceModel::jakarta()}) {
+        const std::vector<int> order = reference(d);
+        EXPECT_EQ(d.bestQubits(d.numQubits()), order) << d.name();
+        EXPECT_EQ(d.bestQubits(3),
+                  std::vector<int>(order.begin(), order.begin() + 3))
+            << d.name();
+        EXPECT_TRUE(d.bestQubits(0).empty());
+    }
+    // Drift reorders qubits, so a stale ranking would show here.
+    EXPECT_NE(reference(mumbai), reference(mumbai.drifted(11, 0.5)));
+}
+
+TEST(DeviceModelDeathTest, BestQubitsRejectsCountsOutsideTheDevice)
+{
+    const DeviceModel d = DeviceModel::lagos();
+    EXPECT_DEATH(d.bestQubits(d.numQubits() + 1), "bestQubits");
+    EXPECT_DEATH(d.bestQubits(-1), "bestQubits");
 }
 
 TEST(DeviceModel, EffectiveReadoutBestMappingBeatsDefault)

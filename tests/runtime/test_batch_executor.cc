@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "chem/spin_models.hh"
+#include "core/selective.hh"
 #include "core/varsaw.hh"
 #include "mitigation/jigsaw.hh"
 #include "noise/device_model.hh"
@@ -16,6 +17,7 @@
 #include "runtime/batch_executor.hh"
 #include "vqa/ansatz.hh"
 #include "vqa/estimator.hh"
+#include "vqa/zne_estimator.hh"
 
 #include "../worker_service.hh"
 
@@ -345,6 +347,118 @@ TEST(BaselineEstimator, EnergyIdenticalAcrossThreadCounts)
     const double serial = energy(kSerial);
     for (int workers : kWorkerCounts)
         EXPECT_EQ(serial, energy(workers)) << workers;
+}
+
+/**
+ * A backplane whose sessions record every submitted batch, then run
+ * it on a serial private runtime: how the identity test sees the
+ * exact batches each estimator admits.
+ */
+class RecordingBackplane : public ExecutionBackplane
+{
+  public:
+    std::unique_ptr<JobSubmitter>
+    openSession(Executor &backend, const RuntimeConfig &config) override
+    {
+        return std::make_unique<Recorder>(backend, config, batches_);
+    }
+
+    const std::vector<Batch> &batches() const { return batches_; }
+
+  private:
+    class Recorder : public JobSubmitter
+    {
+      public:
+        Recorder(Executor &backend, const RuntimeConfig &config,
+                 std::vector<Batch> &out)
+            : inner_(backend, config), out_(out)
+        {
+        }
+
+        std::vector<std::future<Pmf>> submit(const Batch &batch) override
+        {
+            out_.push_back(batch);
+            return inner_.submit(batch);
+        }
+
+        Executor &backend() override { return inner_.backend(); }
+        const Executor &backend() const override
+        {
+            return inner_.backend();
+        }
+        CacheStats cacheStats() const override
+        {
+            return inner_.cacheStats();
+        }
+        std::uint64_t jobsSubmitted() const override
+        {
+            return inner_.jobsSubmitted();
+        }
+
+      private:
+        BatchExecutor inner_;
+        std::vector<Batch> &out_;
+    };
+
+    std::vector<Batch> batches_;
+};
+
+TEST(JobIdentity, AdmissionKeysMatchReferenceOnEstimatorBatches)
+{
+    const Hamiltonian h = tfim(4, 1.0, 0.7);
+    EfficientSU2 ansatz(AnsatzConfig{4, 2, Entanglement::Linear});
+    const auto params = ansatz.initialParameters(5);
+    const auto other = ansatz.initialParameters(6);
+    const DeviceModel device = DeviceModel::uniform(4, 0.03, 0.06);
+    NoisyExecutor exec(device, GateNoiseMode::AnalyticDepolarizing, 3);
+    RecordingBackplane recorder;
+    const RuntimeConfig runtime{.service = &recorder};
+
+    VarsawConfig varsaw_config;
+    varsaw_config.subsetShots = 256;
+    varsaw_config.globalShots = 512;
+    varsaw_config.runtime = runtime;
+    JigsawConfig jigsaw_config;
+    jigsaw_config.subsetShots = 256;
+    jigsaw_config.globalShots = 512;
+
+    std::vector<std::unique_ptr<EnergyEstimator>> estimators;
+    estimators.push_back(std::make_unique<VarsawEstimator>(
+        h, ansatz.circuit(), exec, varsaw_config));
+    estimators.push_back(std::make_unique<JigsawEstimator>(
+        h, ansatz.circuit(), exec, jigsaw_config, BasisMode::Cover,
+        runtime));
+    estimators.push_back(std::make_unique<BaselineEstimator>(
+        h, ansatz.circuit(), exec, 512, BasisMode::Cover,
+        ShotAllocation::Uniform, runtime));
+    estimators.push_back(std::make_unique<SelectiveVarsawEstimator>(
+        h, ansatz.circuit(), exec, varsaw_config, 0.6, 128));
+    estimators.push_back(std::make_unique<ZneEstimator>(
+        h, ansatz.circuit(), exec, 256, std::vector<int>{1, 3},
+        runtime));
+    // Several ticks per estimator: VarSaw alternates Global and
+    // subset-only ticks, and a new parameter point changes every key.
+    for (auto &est : estimators) {
+        est->estimate(params);
+        est->estimate(params);
+        est->estimate(other);
+    }
+
+    std::size_t prefixed = 0, plain = 0;
+    for (const Batch &batch : recorder.batches()) {
+        const std::vector<JobIdentity> ids = identifyJobs(batch.jobs());
+        ASSERT_EQ(ids.size(), batch.size());
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            const CircuitJob &job = batch.jobs()[i];
+            EXPECT_TRUE(ids[i].key == makeJobKey(job));
+            EXPECT_TRUE(prepKeyFor(job, ids[i]) ==
+                        prepKeyOf(job.prep.get(), job.circuit,
+                                  job.params));
+            ++(job.prep ? prefixed : plain);
+        }
+    }
+    EXPECT_GT(prefixed, 0u);
+    EXPECT_GT(plain, 0u); // ZNE folds whole circuits
 }
 
 } // namespace

@@ -53,8 +53,8 @@ TEST(JobLedger, MissThenHit)
 
     auto primary = ledger.claim(key, job.shots);
     ASSERT_FALSE(primary.duplicate());
-    const Pmf result =
-        ledger.executeAndPublish(exec, job, key, primary.publish);
+    const Pmf result = ledger.executeAndPublish(exec, job.view(), key,
+                                                primary.publish);
 
     // The primary's future IS the cached result.
     auto hit = ledger.claim(key, job.shots);
@@ -190,8 +190,8 @@ TEST(JobLedger, ResidentResultsEqualInsertionsMinusEvictions)
     };
     auto execute = [&](const CircuitJob &job,
                        const JobLedger::Claim &claim) {
-        return ledger.executeAndPublish(exec, job, makeJobKey(job),
-                                        claim.publish);
+        return ledger.executeAndPublish(exec, job.view(),
+                                        makeJobKey(job), claim.publish);
     };
     auto claim = [&ledger](const CircuitJob &job) {
         return ledger.claim(makeJobKey(job), job.shots);

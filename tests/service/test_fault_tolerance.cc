@@ -236,8 +236,8 @@ TEST(FaultTolerance, DeadlineExceededOnVirtualClock)
     Circuit c(2);
     c.h(0).cx(0, 1).measureAll();
     const std::vector<double> params;
-    const StatusOr<Pmf> result =
-        exec.tryExecuteJob(JobView{c, params, 0, nullptr}, 99);
+    const StatusOr<Pmf> result = exec.tryExecuteJob(
+        JobView{c, params, 0, nullptr, std::nullopt}, 99);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::DeadlineExceeded);
     // Both attempts died before reaching the backend.
@@ -251,7 +251,7 @@ TEST(FaultTolerance, RetryBackoffIsDeterministicOnVirtualClock)
     Circuit c(2);
     c.h(0).cx(0, 1).measureAll();
     const std::vector<double> params;
-    const JobView job{c, params, 64, nullptr};
+    const JobView job{c, params, 64, nullptr, std::nullopt};
 
     for (int round = 0; round < 2; ++round) {
         // configure() resets the virtual clock, so both rounds

@@ -321,5 +321,35 @@ TEST(SimEngine, PrepWithTrailingBasisGatesSharesKeyAndMatches)
     }
 }
 
+TEST(SimEngine, CarriedPrepKeyDecidesTheCacheEntry)
+{
+    // A view that carries its prep key is not rehashed: the engine
+    // files the prepared state under the carried key, and a view
+    // without one derives the same key and hits that entry.
+    const Circuit ansatz = su2Ansatz(4);
+    const auto params = testParams(4);
+    const Circuit x_suffix =
+        makeGlobalSuffix(PauliString::parse("XXZZ"));
+    const Circuit y_suffix =
+        makeGlobalSuffix(PauliString::parse("YZZY"));
+    const PrepKey key = prepKeyOf(&ansatz, x_suffix, params);
+
+    SimEngine engine;
+    const auto carried =
+        engine.measuredMarginal(&ansatz, x_suffix, params, key);
+    EXPECT_EQ(engine.stats().prepSimulations, 1u);
+    EXPECT_EQ(engine.measuredMarginal(&ansatz, x_suffix, params),
+              carried);
+    engine.measuredMarginal(&ansatz, y_suffix, params);
+    EXPECT_EQ(engine.stats().prepSimulations, 1u);
+
+    // Only the carried key is consulted: an unrelated one is a miss.
+    const PrepKey other{key.structure + 1, key.params};
+    EXPECT_EQ(
+        engine.measuredMarginal(&ansatz, x_suffix, params, other),
+        carried);
+    EXPECT_EQ(engine.stats().prepSimulations, 2u);
+}
+
 } // namespace
 } // namespace varsaw
