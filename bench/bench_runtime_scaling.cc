@@ -9,15 +9,18 @@
  * optimizer-style parameter points with SPSA-like double probes).
  * Row 1 is the serial private runtime; rows 2/4/8 are one-session
  * ExecutionServices with that many workers (the only batch worker
- * pool). Expected shape: no scaling — medians of 0.8x, 1.0x and
- * 1.0x of the serial rate at 2, 4 and 8 workers (10 runs at
- * VARSAW_BENCH_TICKS=200 on a 4-thread host, g++ 12, AVX-512;
- * single runs 0.6-1.2x). A job here is a few microseconds of
- * sampling plus a from-scratch hash of its plain circuit on the
- * submitting thread, so hand-off costs about what a worker saves:
- * batch workers do not scale this workload yet — identical energies
- * at every worker count, and a cache hit rate reflecting the
- * workload's redundancy.
+ * pool). Expected shape: little scaling — medians of 0.95x, 1.10x
+ * and 1.25x of the serial rate at 2, 4 and 8 workers (10 runs at
+ * VARSAW_BENCH_TICKS=200 on a shared 4-thread host, g++ 12,
+ * AVX-512; single runs 0.78-1.42x). A job here is a few microseconds
+ * of sampling. The blocking run() cuts each batch into workers + 1
+ * chunks and runs its own queued chunks on the submitting thread
+ * while the workers run theirs, so that thread no longer sleeps
+ * through the hand-off. It still does all of admission first — a
+ * from-scratch hash of each plain circuit, a ledger claim and a
+ * promise per job — and that serial share caps the speedup. Results
+ * are identical energies at every worker count, and a cache hit
+ * rate reflecting the workload's redundancy.
  *
  * Part 2 — shared service vs per-estimator runtimes: two concurrent
  * estimators (VarSaw + Baseline) over ONE overlapping Hamiltonian
@@ -29,7 +32,10 @@
  * executes it once. Expected shape: identical
  * (bit-for-bit) summed energies in both modes, nonzero
  * cross-session hits, fewer backend executions and lower wall time
- * for the shared mode. CSV: bench_runtime_scaling.csv (part 1) and
+ * for the shared mode. It also prints the share of the service's
+ * chunks the estimators' blocking run() calls ran on their own
+ * threads (29-33% at VARSAW_BENCH_TICKS=200 on the host above).
+ * CSV: bench_runtime_scaling.csv (part 1) and
  * bench_runtime_scaling_shared.csv (part 2).
  *
  * Part 3 — graceful degradation under injected faults: the part-1
@@ -158,6 +164,10 @@ struct SharedModeResult
     double seconds = 0.0;
     std::uint64_t circuitsExecuted = 0;
     std::uint64_t crossSessionHits = 0;
+    /** Service chunks run, and the part the estimators' blocking
+     * run() calls ran on their own threads (shared mode only). */
+    std::uint64_t chunksExecuted = 0;
+    std::uint64_t callerChunks = 0;
     double varsawEnergySum = 0.0;
     double baselineEnergySum = 0.0;
     /** Delta of the service.cross_session_hits registry counter
@@ -228,7 +238,10 @@ measureSharedMode(bool shared, int service_threads,
     m.seconds = watch.seconds();
     m.circuitsExecuted = exec.circuitsExecuted();
     if (service) {
-        m.crossSessionHits = service->stats().crossSessionHits;
+        const ServiceStats stats = service->stats();
+        m.crossSessionHits = stats.crossSessionHits;
+        m.chunksExecuted = stats.chunksExecuted;
+        m.callerChunks = stats.callerChunks;
         m.metricCrossSessionHits =
             counterValue("service.cross_session_hits") -
             metric_hits_before;
@@ -293,6 +306,14 @@ runSharedServiceComparison(int service_threads, const Hamiltonian &h,
                 static_cast<long long>(priv.circuitsExecuted) -
                     static_cast<long long>(
                         shared.circuitsExecuted));
+    std::printf("shared-mode chunks run by their blocking caller: "
+                "%llu of %llu (%.1f%%)\n",
+                static_cast<unsigned long long>(shared.callerChunks),
+                static_cast<unsigned long long>(shared.chunksExecuted),
+                shared.chunksExecuted > 0
+                    ? 100.0 * static_cast<double>(shared.callerChunks) /
+                        static_cast<double>(shared.chunksExecuted)
+                    : 0.0);
 
     const char *check = std::getenv("VARSAW_BENCH_CHECK");
     if (check && check[0] == '1') {
@@ -498,9 +519,9 @@ main(int argc, char **argv)
     if (!parseStandardArgs(argc, argv))
         return 2;
     banner("Runtime scaling - batched execution throughput",
-           "no scaling across worker counts (medians 0.8-1.0x of "
-           "serial at 2-8 service workers on a 4-thread host); "
-           "identical results at every worker count");
+           "little scaling across worker counts (medians 0.95x, "
+           "1.10x, 1.25x of serial at 2, 4, 8 service workers on a "
+           "4-thread host); identical results at every worker count");
 
     const int qubits = 8;
     const Hamiltonian h = tfim(qubits, 1.0, 0.7);

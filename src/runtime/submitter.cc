@@ -8,6 +8,12 @@ std::vector<Pmf>
 JobSubmitter::run(const Batch &batch)
 {
     auto futures = submit(batch);
+    return collect(futures);
+}
+
+std::vector<Pmf>
+JobSubmitter::collect(std::vector<std::future<Pmf>> &futures)
+{
     std::vector<Pmf> results;
     results.reserve(futures.size());
     for (auto &future : futures)

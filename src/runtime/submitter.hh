@@ -69,13 +69,22 @@ class JobSubmitter
     /** Jobs submitted through this submitter since construction. */
     virtual std::uint64_t jobsSubmitted() const = 0;
 
-    /** Submit and wait: results aligned with the job indices. */
-    std::vector<Pmf> run(const Batch &batch);
+    /**
+     * Submit and wait: results aligned with the job indices. The
+     * base form is submit() then wait; a Session overrides it to run
+     * its own queued chunks on the calling thread while it waits.
+     */
+    virtual std::vector<Pmf> run(const Batch &batch);
 
     /** Convenience: run a single job through the submitter. */
     Pmf runOne(const Circuit &circuit,
                const std::vector<double> &params,
                std::uint64_t shots);
+
+  protected:
+    /** Wait for every future: the results, in order. */
+    static std::vector<Pmf>
+    collect(std::vector<std::future<Pmf>> &futures);
 };
 
 /**

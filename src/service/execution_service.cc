@@ -181,7 +181,15 @@ Session::~Session()
 std::vector<std::future<Pmf>>
 Session::submit(const Batch &batch)
 {
-    return service_->submitFor(*this, batch);
+    return service_->submitFor(*this, batch, false);
+}
+
+std::vector<Pmf>
+Session::run(const Batch &batch)
+{
+    auto futures = service_->submitFor(*this, batch, true);
+    service_->scheduler_.runQueued(queue_);
+    return collect(futures);
 }
 
 Executor &
@@ -370,6 +378,7 @@ ExecutionService::stats() const
     stats.crossSessionHits =
         crossSessionHits_.load(std::memory_order_relaxed);
     stats.chunksExecuted = scheduler_.chunksExecuted();
+    stats.callerChunks = scheduler_.callerChunks();
     stats.kernelAssists = scheduler_.kernelAssists();
     stats.kernelAssistedChunks = scheduler_.assistedChunks();
     stats.shedJobs = shedJobs_.load(std::memory_order_relaxed);
@@ -381,7 +390,8 @@ ExecutionService::stats() const
 }
 
 std::vector<std::future<Pmf>>
-ExecutionService::submitFor(Session &session, const Batch &batch)
+ExecutionService::submitFor(Session &session, const Batch &batch,
+                            bool callerHelps)
 {
     if (batch.empty())
         return {};
@@ -404,13 +414,17 @@ ExecutionService::submitFor(Session &session, const Batch &batch)
     // everyone else — including other sessions — defers onto the
     // primary's future. The admitted chunks capture the service and
     // shared batch storage, never the session, so futures stay valid
-    // even if the caller drops the Batch or the Session first.
+    // even if the caller drops the Batch or the Session first. A
+    // helping caller is one more executor, so it gets one more
+    // chunk.
     const std::string traceLabel =
         telemetry::tracingEnabled() ? sessionLabel(session) : "";
+    const int executors =
+        scheduler_.threadCount() + (callerHelps ? 1 : 0);
     AdmittedBatch admitted = admitChunked(
         Admitter{ledger_, backend_, session.cacheResults_, session.id_,
                  traceLabel.empty() ? nullptr : traceLabel.c_str()},
-        batch, static_cast<std::size_t>(scheduler_.threadCount()));
+        batch, static_cast<std::size_t>(executors));
     const AdmissionTally &tally = admitted.tally;
     session.hits_.fetch_add(tally.hits, std::memory_order_relaxed);
     session.crossHits_.fetch_add(tally.crossHits,

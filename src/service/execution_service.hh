@@ -156,10 +156,14 @@ struct ServiceStats
     /** Duplicates answered across session boundaries. */
     std::uint64_t crossSessionHits = 0;
 
-    /** Admitted task chunks the scheduler's workers executed (a
-     * chunk holds one or more jobs; compare jobsSubmitted for job
-     * counts). */
+    /** Admitted task chunks executed, by the scheduler's workers
+     * and by blocking Session::run() callers alike (a chunk holds
+     * one or more jobs; compare jobsSubmitted for job counts). */
     std::uint64_t chunksExecuted = 0;
+
+    /** The part of chunksExecuted that blocking Session::run()
+     * calls ran on their own threads. */
+    std::uint64_t callerChunks = 0;
 
     /** Kernel loops idle workers were lent to. */
     std::uint64_t kernelAssists = 0;
@@ -199,7 +203,19 @@ class Session : public JobSubmitter
     Session(const Session &) = delete;
     Session &operator=(const Session &) = delete;
 
+    /** Admit and enqueue; never runs a job on the calling thread
+     * (except inline after shutdown or around an injected worker
+     * stall). */
     std::vector<std::future<Pmf>> submit(const Batch &batch) override;
+
+    /**
+     * Admit the batch into one more chunk than the service has
+     * workers, enqueue them, run this session's queued chunks on
+     * the calling thread until its queue is empty, and only then
+     * wait. The caller never runs another session's chunk; results
+     * are those of submit() bit for bit.
+     */
+    std::vector<Pmf> run(const Batch &batch) override;
 
     Executor &backend() override;
     const Executor &backend() const override;
@@ -353,9 +369,14 @@ class ExecutionService : public ExecutionBackplane
   private:
     friend class Session;
 
-    /** Session-facing submission core (defined in the .cc). */
+    /**
+     * Session-facing submission core (defined in the .cc).
+     * @p callerHelps: the caller will run its own queue
+     * (Session::run), so the batch is cut into one chunk more than
+     * there are workers.
+     */
     std::vector<std::future<Pmf>>
-    submitFor(Session &session, const Batch &batch);
+    submitFor(Session &session, const Batch &batch, bool callerHelps);
 
     std::unique_ptr<Session> makeSession(std::string name,
                                          bool cache_results,

@@ -15,10 +15,11 @@ namespace {
 /** Worker-utilization mirror under `service.scheduler.*`, plus the
  * admission-queue visibility gauges: `service.queue_depth` (chunks
  * waiting across every queue) and `service.queue_age_us` (age of
- * the chunk a worker most recently dequeued). */
+ * the chunk a worker or lent caller most recently dequeued). */
 struct SchedulerMetrics
 {
     telemetry::Counter &chunksExecuted;
+    telemetry::Counter &callerChunks;
     telemetry::Counter &kernelAssists;
     telemetry::Counter &assistedChunks;
     telemetry::Histogram &chunkLatencyNs;
@@ -31,6 +32,7 @@ struct SchedulerMetrics
         auto &reg = telemetry::MetricsRegistry::instance();
         static SchedulerMetrics *m = new SchedulerMetrics{
             reg.counter("service.scheduler.chunks_executed"),
+            reg.counter("service.scheduler.caller_chunks"),
             reg.counter("service.scheduler.kernel_assists"),
             reg.counter("service.scheduler.assisted_chunks"),
             reg.histogram("service.scheduler.chunk_latency_ns"),
@@ -132,6 +134,38 @@ ServiceScheduler::enqueue(std::uint64_t queue,
 }
 
 std::function<void()>
+ServiceScheduler::popLocked(QueueMap::iterator it)
+{
+    Entry entry = std::move(it->second.tasks.front());
+    it->second.tasks.pop_front();
+    --queuedCount_;
+    ++runningCount_;
+    if (entry.enqueueNs != 0) {
+        // Queue-wait attribution + the visibility gauges.
+        // Observation only: the timestamps never influence which
+        // task was picked.
+        const std::uint64_t age = telemetry::nowNs() - entry.enqueueNs;
+        auto &m = SchedulerMetrics::get();
+        m.queueDepth.add(-1);
+        m.queueAgeUs.set(static_cast<std::int64_t>(age / 1000));
+        if (telemetry::profilerEnabled()) {
+            telemetry::recordPhaseNs(telemetry::Phase::QueueWait,
+                                     age);
+            if (!it->second.waitHist && !it->second.label.empty())
+                it->second.waitHist =
+                    &telemetry::sessionPhaseHistogram(
+                        telemetry::Phase::QueueWait,
+                        it->second.label);
+            if (it->second.waitHist)
+                it->second.waitHist->record(age);
+        }
+    }
+    if (!it->second.open && it->second.tasks.empty())
+        queues_.erase(it); // closed and drained: reap
+    return std::move(entry.task);
+}
+
+std::function<void()>
 ServiceScheduler::popNextLocked()
 {
     // Round-robin: resume the scan strictly after the queue served
@@ -143,40 +177,55 @@ ServiceScheduler::popNextLocked()
             it = queues_.begin();
         if (!it->second.tasks.empty()) {
             cursor_ = it->first;
-            Entry entry = std::move(it->second.tasks.front());
-            it->second.tasks.pop_front();
-            --queuedCount_;
-            if (entry.enqueueNs != 0) {
-                // Queue-wait attribution + the visibility gauges.
-                // Observation only: the timestamps never influence
-                // which task was picked.
-                const std::uint64_t age =
-                    telemetry::nowNs() - entry.enqueueNs;
-                auto &m = SchedulerMetrics::get();
-                m.queueDepth.add(-1);
-                m.queueAgeUs.set(
-                    static_cast<std::int64_t>(age / 1000));
-                if (telemetry::profilerEnabled()) {
-                    telemetry::recordPhaseNs(
-                        telemetry::Phase::QueueWait, age);
-                    if (!it->second.waitHist &&
-                        !it->second.label.empty())
-                        it->second.waitHist =
-                            &telemetry::sessionPhaseHistogram(
-                                telemetry::Phase::QueueWait,
-                                it->second.label);
-                    if (it->second.waitHist)
-                        it->second.waitHist->record(age);
-                }
-            }
-            if (!it->second.open && it->second.tasks.empty())
-                queues_.erase(it); // closed and drained: reap
-            return std::move(entry.task);
+            return popLocked(it);
         }
         ++it;
     }
     panic("ServiceScheduler: queuedCount_ out of sync");
     return {};
+}
+
+void
+ServiceScheduler::runPopped(const std::function<void()> &task,
+                            bool byCaller)
+{
+    {
+        telemetry::ScopedSpan span("chunk", 0);
+        task();
+        if (telemetry::metricsEnabled()) {
+            auto &m = SchedulerMetrics::get();
+            m.chunksExecuted.add();
+            if (byCaller)
+                m.callerChunks.add();
+            if (span.armed())
+                m.chunkLatencyNs.record(span.elapsedNs());
+        }
+    }
+    chunksExecuted_.fetch_add(1, std::memory_order_relaxed);
+    if (byCaller)
+        callerChunks_.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mutex_);
+    --runningCount_;
+    if (queuedCount_ == 0 && runningCount_ == 0)
+        idleCv_.notify_all();
+}
+
+std::size_t
+ServiceScheduler::runQueued(std::uint64_t queue)
+{
+    std::size_t ran = 0;
+    for (;;) {
+        std::function<void()> task;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            const auto it = queues_.find(queue);
+            if (it == queues_.end() || it->second.tasks.empty())
+                return ran;
+            task = popLocked(it);
+        }
+        runPopped(task, true);
+        ++ran;
+    }
 }
 
 void
@@ -196,7 +245,6 @@ ServiceScheduler::workerLoop()
                 // Drain batch work first — also on shutdown, so
                 // every accepted task runs before the workers exit.
                 task = popNextLocked();
-                ++runningCount_;
             } else if (stopping_) {
                 return;
             } else {
@@ -205,21 +253,7 @@ ServiceScheduler::workerLoop()
             }
         }
         if (task) {
-            {
-                telemetry::ScopedSpan span("chunk", 0);
-                task();
-                if (telemetry::metricsEnabled()) {
-                    auto &m = SchedulerMetrics::get();
-                    m.chunksExecuted.add();
-                    if (span.armed())
-                        m.chunkLatencyNs.record(span.elapsedNs());
-                }
-            }
-            chunksExecuted_.fetch_add(1, std::memory_order_relaxed);
-            std::lock_guard<std::mutex> lock(mutex_);
-            --runningCount_;
-            if (queuedCount_ == 0 && runningCount_ == 0)
-                idleCv_.notify_all();
+            runPopped(task, false);
         } else if (assist) {
             // Idle: lend this worker to engaged kernel loops until
             // none need help, then go back to waiting for batch
@@ -281,6 +315,13 @@ ServiceScheduler::shutdown()
     workCv_.notify_all();
     for (auto &worker : workers_)
         worker.join();
+    {
+        // The workers drained every queue, and admission is closed,
+        // so nothing new can start; a lent caller may still be
+        // running a task it popped before that.
+        std::unique_lock<std::mutex> lock(mutex_);
+        idleCv_.wait(lock, [&] { return runningCount_ == 0; });
+    }
     // Unregister only after the workers are gone: the wake callback
     // references this object, and removeKernelAssistHost()
     // guarantees no further invocation once it returns.

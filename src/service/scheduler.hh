@@ -33,9 +33,17 @@
  * with a ResourceExhausted error instead of queueing unboundedly or
  * stalling the submit path.
  *
- * Shutdown: stop accepting, drain every queue, join the workers.
- * Tasks already enqueued always run; enqueue() after shutdown
- * returns Admission::Closed and the caller runs the task inline.
+ * Lent callers: a thread that is about to wait for its own queue's
+ * tasks can run them itself (runQueued). It pops through the same
+ * path as a worker, so queue gauges, queue-wait attribution, chunk
+ * metrics and drain() see one kind of task, but it only ever pops
+ * the queue it names: round-robin across queues stays the workers'
+ * business, and a caller never runs another queue's task.
+ *
+ * Shutdown: stop accepting, drain every queue, join the workers,
+ * and wait for tasks lent callers are still running. Tasks already
+ * enqueued always run; enqueue() after shutdown returns
+ * Admission::Closed and the caller runs the task inline.
  */
 
 #ifndef VARSAW_SERVICE_SCHEDULER_HH
@@ -116,15 +124,30 @@ class ServiceScheduler
     /** Chunks currently waiting in @p queue (0 for unknown ids). */
     std::size_t queueDepth(std::uint64_t queue) const;
 
-    /** Block until no task is queued or running. */
+    /**
+     * Run @p queue's tasks on the calling thread, in FIFO order,
+     * until the queue is empty; returns how many this call ran.
+     * Only @p queue is touched — never another queue's task — and
+     * a task run here counts as running for drain() and shutdown()
+     * exactly like a worker's. Workers may pop from the same queue
+     * concurrently; each task runs once either way. Tasks must not
+     * throw, here as on a worker (a session's chunks never do:
+     * each job's failure lands in its future).
+     */
+    std::size_t runQueued(std::uint64_t queue);
+
+    /** Block until no task is queued or running (on a worker or a
+     * lent caller). */
     void drain();
 
     /**
-     * Stop accepting work, drain every queue, join the workers.
-     * Idempotent and safe to call concurrently — with enqueues
-     * (they fail over to inline execution) and with other shutdown
-     * callers (every caller returns only once the queues are
-     * drained and the workers are joined).
+     * Stop accepting work, drain every queue, join the workers and
+     * wait for every task a lent caller (runQueued) is running, so
+     * no task runs once this returns. Idempotent and safe to call
+     * concurrently — with enqueues (they fail over to inline
+     * execution) and with other shutdown callers (every caller
+     * returns only once the queues are drained, the workers are
+     * joined and no task is running).
      */
     void shutdown();
 
@@ -135,14 +158,22 @@ class ServiceScheduler
     }
 
     /**
-     * Admitted task closures executed by the workers so far. The
-     * unit is the enqueued closure — for service sessions one
-     * prefix-schedule CHUNK of jobs, not one job; see
-     * ServiceStats::jobsSubmitted for job counts.
+     * Admitted task closures executed so far, by the workers and by
+     * lent callers (runQueued) alike. The unit is the enqueued
+     * closure — for service sessions one prefix-schedule CHUNK of
+     * jobs, not one job; see ServiceStats::jobsSubmitted for job
+     * counts.
      */
     std::uint64_t chunksExecuted() const
     {
         return chunksExecuted_.load(std::memory_order_relaxed);
+    }
+
+    /** The part of chunksExecuted() that lent callers ran on their
+     * own threads (runQueued). */
+    std::uint64_t callerChunks() const
+    {
+        return callerChunks_.load(std::memory_order_relaxed);
     }
 
     /**
@@ -193,9 +224,27 @@ class ServiceScheduler
         telemetry::Histogram *waitHist = nullptr;
     };
 
+    using QueueMap = std::map<std::uint64_t, Queue>;
+
+    /**
+     * The one pop: take the front task of the non-empty queue at
+     * @p it and count it running. Does the queue gauges and the
+     * queue-wait attribution, and reaps the queue if it is closed
+     * and now empty. Caller holds mutex_.
+     */
+    std::function<void()> popLocked(QueueMap::iterator it);
+
     /** Pop the next task round-robin. Caller holds mutex_ and has
      * checked queuedCount_ > 0. */
     std::function<void()> popNextLocked();
+
+    /**
+     * Run a task popLocked() returned, under the "chunk" span and
+     * the chunk metrics, then count it done and wake drain() and
+     * shutdown() once nothing is queued or running. @p byCaller
+     * marks a lent caller's task (callerChunks()).
+     */
+    void runPopped(const std::function<void()> &task, bool byCaller);
 
     void workerLoop();
 
@@ -207,17 +256,20 @@ class ServiceScheduler
     std::condition_variable workCv_; //!< workers wait here
     std::condition_variable idleCv_; //!< drain() waits here
     /** Admission queues by id (ordered, for stable round-robin). */
-    std::map<std::uint64_t, Queue> queues_;
+    QueueMap queues_;
     std::uint64_t nextQueueId_ = 1;
     /** Queue id served last; the scan resumes after it. */
     std::uint64_t cursor_ = 0;
     std::size_t queuedCount_ = 0;
+    /** Tasks popped and not yet finished, on workers or lent
+     * callers. */
     int runningCount_ = 0;
     bool stopping_ = false;
     bool joined_ = false;
     /** Bumped (under mutex_) when a kernel loop is published. */
     std::uint64_t kernelSignals_ = 0;
     std::atomic<std::uint64_t> chunksExecuted_{0};
+    std::atomic<std::uint64_t> callerChunks_{0};
     std::atomic<std::uint64_t> kernelAssists_{0};
     std::atomic<std::uint64_t> assistedChunks_{0};
     int assistHostId_ = -1;

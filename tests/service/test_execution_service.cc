@@ -4,15 +4,22 @@
  * bit-identity to the private-runtime path across thread counts /
  * session counts / cache settings / submission interleavings, fair
  * FIFO admission, per-session statistics, kernel-assist lending,
- * and graceful shutdown under concurrent submission.
+ * blocking run() callers that run their own queue, and graceful
+ * shutdown under concurrent submission.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <future>
+#include <map>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "chem/spin_models.hh"
@@ -60,6 +67,104 @@ tfimBases(int qubits)
 {
     const Hamiltonian h = tfim(qubits, 1.0, 0.7);
     return coverReduce(h.strings()).bases;
+}
+
+/** How long a test waits for a thread it expects to make progress
+ * before it fails instead of hanging. */
+constexpr auto kProgressTimeout = std::chrono::seconds(60);
+
+/**
+ * An ideal backend that records the thread every job ran on and can
+ * hold jobs back: a job whose shot count has a gate parks inside the
+ * backend until that gate opens. Results are IdealExecutor's.
+ */
+class GatedExecutor : public IdealExecutor
+{
+  public:
+    using IdealExecutor::IdealExecutor;
+
+    /** Park every job of @p shots shots until open(@p shots). Call
+     * before any job runs. */
+    void gate(std::uint64_t shots)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        gates_[shots] = false;
+    }
+
+    void open(std::uint64_t shots)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        gates_[shots] = true;
+        cv_.notify_all();
+    }
+
+    void openAll()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (auto &gate : gates_)
+            gate.second = true;
+        cv_.notify_all();
+    }
+
+    /** Wait until a job of @p shots shots is parked; false on
+     * timeout. */
+    bool waitParked(std::uint64_t shots)
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        return cv_.wait_for(lock, kProgressTimeout, [&] {
+            return parked_.count(shots) != 0;
+        });
+    }
+
+    /** (shots, thread) of every job run so far, in start order. */
+    std::vector<std::pair<std::uint64_t, std::thread::id>> runs() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return runs_;
+    }
+
+  protected:
+    Pmf executeImpl(const JobView &job, Rng &rng) override
+    {
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            runs_.emplace_back(job.shots, std::this_thread::get_id());
+            const auto gate = gates_.find(job.shots);
+            if (gate != gates_.end()) {
+                parked_.insert(job.shots);
+                cv_.notify_all();
+                cv_.wait(lock, [&] { return gate->second; });
+            }
+        }
+        return IdealExecutor::executeImpl(job, rng);
+    }
+
+  private:
+    mutable std::mutex mutex_;
+    std::condition_variable cv_;
+    std::map<std::uint64_t, bool> gates_; //!< shots -> open
+    std::set<std::uint64_t> parked_;
+    std::vector<std::pair<std::uint64_t, std::thread::id>> runs_;
+};
+
+/** Opens every gate at scope exit, so a failed assertion releases
+ * parked jobs before the service (declared earlier) joins them. */
+struct OpenGatesAtExit
+{
+    GatedExecutor &exec;
+    ~OpenGatesAtExit() { exec.openAll(); }
+};
+
+/** A one-job batch of a Bell circuit at @p shots shots (distinct
+ * shot counts make distinct jobs). */
+Batch
+bellJob(std::uint64_t shots)
+{
+    Circuit c(2);
+    c.h(0).cx(0, 1).measureAll();
+    Batch batch;
+    batch.add(c, {}, shots);
+    return batch;
 }
 
 TEST(ExecutionService, CrossSessionDedupeExecutesOnce)
@@ -536,6 +641,233 @@ TEST(ExecutionService, ShutdownWhileConcurrentlySubmittingIsClean)
         tb.join();
         EXPECT_EQ(done_clients.load(), 2);
     }
+}
+
+TEST(ServiceScheduler, RunQueuedRunsOnlyTheNamedQueue)
+{
+    // A lent caller runs the queue it names on its own thread and
+    // leaves every other queue to the workers.
+    ServiceScheduler scheduler(1);
+    const auto q_gate = scheduler.openQueue();
+    const auto qa = scheduler.openQueue();
+    const auto qb = scheduler.openQueue();
+
+    // Park the single worker on a gate task, and wait until it has
+    // popped it, so nothing else can take qa's or qb's tasks.
+    std::promise<void> gate;
+    std::shared_future<void> gate_future = gate.get_future().share();
+    std::atomic<bool> started{false};
+    ASSERT_EQ(scheduler.enqueue(q_gate,
+                                [&started, gate_future] {
+                                    started.store(
+                                        true, std::memory_order_release);
+                                    gate_future.wait();
+                                }),
+              ServiceScheduler::Admission::Accepted);
+    while (!started.load(std::memory_order_acquire))
+        std::this_thread::yield();
+
+    std::mutex ran_mutex;
+    std::vector<std::pair<char, std::thread::id>> ran;
+    const auto record = [&ran, &ran_mutex](char queue) {
+        return [&ran, &ran_mutex, queue] {
+            std::lock_guard<std::mutex> lock(ran_mutex);
+            ran.emplace_back(queue, std::this_thread::get_id());
+        };
+    };
+    for (int i = 0; i < 3; ++i) {
+        ASSERT_EQ(scheduler.enqueue(qa, record('a')),
+                  ServiceScheduler::Admission::Accepted);
+        ASSERT_EQ(scheduler.enqueue(qb, record('b')),
+                  ServiceScheduler::Admission::Accepted);
+    }
+
+    EXPECT_EQ(scheduler.runQueued(qa), 3u);
+    EXPECT_EQ(scheduler.queueDepth(qa), 0u);
+    EXPECT_EQ(scheduler.queueDepth(qb), 3u);
+    {
+        std::lock_guard<std::mutex> lock(ran_mutex);
+        ASSERT_EQ(ran.size(), 3u);
+        for (const auto &[queue, thread] : ran) {
+            EXPECT_EQ(queue, 'a');
+            EXPECT_EQ(thread, std::this_thread::get_id());
+        }
+    }
+    EXPECT_EQ(scheduler.callerChunks(), 3u);
+    EXPECT_EQ(scheduler.chunksExecuted(), 3u);
+
+    gate.set_value();
+    scheduler.drain();
+    // The gate task and qb's three ran on the worker.
+    EXPECT_EQ(scheduler.chunksExecuted(), 7u);
+    EXPECT_EQ(scheduler.callerChunks(), 3u);
+    EXPECT_EQ(scheduler.runQueued(qb), 0u);
+    scheduler.closeQueue(q_gate);
+    scheduler.closeQueue(qa);
+    scheduler.closeQueue(qb);
+}
+
+TEST(ExecutionService, BlockingRunExecutesOnTheCallingThread)
+{
+    // A blocking run() lends its thread to its own queue. With the
+    // only worker parked on session A's job, session B's run() still
+    // completes, every one of B's jobs runs on B's thread, and B
+    // never runs A's chunk queued behind the parked one.
+    EfficientSU2 ansatz(AnsatzConfig{4, 2, Entanglement::Linear});
+    auto prep = std::make_shared<const Circuit>(ansatz.circuit());
+    const Batch batch = basisWorkload(prep, tfimBases(4),
+                                      ansatz.initialParameters(71),
+                                      512);
+    std::vector<Pmf> reference;
+    {
+        IdealExecutor exec(37);
+        RuntimeConfig rc;
+        rc.cacheResults = true;
+        BatchExecutor runtime(exec, rc);
+        reference = runtime.run(batch);
+    }
+
+    constexpr std::uint64_t kParkShots = 101;
+    constexpr std::uint64_t kQueuedShots = 102;
+    GatedExecutor exec(37);
+    exec.gate(kParkShots);
+    ServiceConfig sc;
+    sc.threads = 1;
+    ExecutionService service(exec, sc);
+    auto a = service.createSession("a");
+    auto b = service.createSession("b");
+    std::future<std::pair<std::vector<Pmf>, std::thread::id>> b_run;
+    OpenGatesAtExit open_gates{exec};
+
+    auto parked = a->submit(bellJob(kParkShots));
+    ASSERT_TRUE(exec.waitParked(kParkShots))
+        << "the worker never started session A's job";
+    auto behind = a->submit(bellJob(kQueuedShots));
+
+    b_run = std::async(std::launch::async, [&] {
+        return std::make_pair(b->run(batch),
+                              std::this_thread::get_id());
+    });
+    ASSERT_EQ(b_run.wait_for(kProgressTimeout),
+              std::future_status::ready)
+        << "session B's run() waited for the parked worker instead "
+           "of running its own chunks";
+    const auto [got, b_thread] = b_run.get();
+    ASSERT_EQ(got.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i)
+        EXPECT_EQ(reference[i], got[i]);
+    EXPECT_GT(service.stats().callerChunks, 0u);
+    EXPECT_EQ(behind.front().wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout)
+        << "session A's queued chunk ran while the worker was parked";
+
+    exec.open(kParkShots);
+    parked.front().get();
+    behind.front().get();
+    for (const auto &[shots, thread] : exec.runs()) {
+        if (shots == kParkShots || shots == kQueuedShots)
+            EXPECT_NE(thread, b_thread)
+                << "session B's caller ran session A's job";
+        else
+            EXPECT_EQ(thread, b_thread);
+    }
+}
+
+TEST(ExecutionService, SubmitNeverRunsOnTheCallingThread)
+{
+    // submit() only admits and enqueues: workers run every job, and
+    // no chunk counts as caller-run.
+    EfficientSU2 ansatz(AnsatzConfig{4, 2, Entanglement::Linear});
+    auto prep = std::make_shared<const Circuit>(ansatz.circuit());
+    const auto bases = tfimBases(4);
+
+    GatedExecutor exec(43); // nothing gated: it only records threads
+    ServiceConfig sc;
+    sc.threads = 2;
+    ExecutionService service(exec, sc);
+    auto session = service.createSession();
+    for (std::uint64_t round = 0; round < 4; ++round) {
+        auto futures = session->submit(basisWorkload(
+            prep, bases, ansatz.initialParameters(80 + round), 256));
+        for (auto &future : futures)
+            future.get();
+    }
+    service.drain();
+
+    const auto runs = exec.runs();
+    ASSERT_FALSE(runs.empty());
+    for (const auto &[shots, thread] : runs)
+        EXPECT_NE(thread, std::this_thread::get_id());
+    EXPECT_GT(service.stats().chunksExecuted, 0u);
+    EXPECT_EQ(service.stats().callerChunks, 0u);
+}
+
+TEST(ExecutionService, DrainAndShutdownWaitForCallerRunChunks)
+{
+    // A chunk a blocking run() executes on its own thread counts as
+    // running: drain() and shutdown() return only after it is done,
+    // so no task runs once shutdown() has returned.
+    constexpr std::uint64_t kParkShots = 201;
+    constexpr std::uint64_t kCallerShots = 202;
+    std::vector<Pmf> reference;
+    {
+        IdealExecutor exec(41);
+        BatchExecutor runtime(exec, RuntimeConfig{});
+        reference = runtime.run(bellJob(kCallerShots));
+    }
+
+    GatedExecutor exec(41);
+    exec.gate(kParkShots);
+    exec.gate(kCallerShots);
+    ServiceConfig sc;
+    sc.threads = 1;
+    ExecutionService service(exec, sc);
+    auto a = service.createSession("a");
+    auto b = service.createSession("b");
+    std::future<std::vector<Pmf>> b_run;
+    OpenGatesAtExit open_gates{exec};
+
+    // Park the worker on A's job, so B's caller must run B's chunk.
+    auto parked = a->submit(bellJob(kParkShots));
+    ASSERT_TRUE(exec.waitParked(kParkShots))
+        << "the worker never started session A's job";
+    b_run = std::async(std::launch::async,
+                       [&] { return b->run(bellJob(kCallerShots)); });
+    ASSERT_TRUE(exec.waitParked(kCallerShots))
+        << "session B's caller never ran its own chunk";
+    // Free the worker: the only task in flight is now the one B's
+    // caller is running.
+    exec.open(kParkShots);
+    parked.front().get();
+
+    std::atomic<bool> drained{false};
+    std::atomic<bool> stopped{false};
+    std::thread drainer([&] {
+        service.drain();
+        drained.store(true);
+    });
+    std::thread stopper([&] {
+        service.shutdown();
+        stopped.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const bool drained_early = drained.load();
+    const bool stopped_early = stopped.load();
+    exec.open(kCallerShots);
+    drainer.join();
+    stopper.join();
+    EXPECT_FALSE(drained_early)
+        << "drain() returned while a caller-run chunk was running";
+    EXPECT_FALSE(stopped_early)
+        << "shutdown() returned while a caller-run chunk was running";
+
+    const auto got = b_run.get();
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0], reference[0]);
+    EXPECT_EQ(service.stats().callerChunks, 1u);
+    const auto runs = exec.runs();
+    ASSERT_EQ(runs.size(), 2u);
+    EXPECT_NE(runs[0].second, runs[1].second);
 }
 
 TEST(ExecutionService, RejectsForeignBackends)
