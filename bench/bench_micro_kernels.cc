@@ -23,6 +23,16 @@
  * Alongside the CSV a machine-readable summary is written to
  * BENCH_micro_kernels.json.
  *
+ * A second group times the shot draws of sampling contract v2
+ * (KernelTable::aliasDraws, the loop behind sim/sampling.hh) at the
+ * (columns, shots) shapes the workloads run: 2-qubit subsets (k = 2,
+ * 4 at 256 and 2048 shots), 3-qubit subsets (k = 8), and wider
+ * tables (k = 64, 1024) that every tier runs through the scalar
+ * reference. Each (k, shots) group has a forced-scalar row, then one
+ * row per host tier, reporting draws/s; its Identical column covers
+ * the tally and the generator's final state, and a mismatch fails
+ * VARSAW_BENCH_CHECK=1 like any other cell.
+ *
  * Knobs: VARSAW_BENCH_REPS (timing repetitions per row, default 3),
  * VARSAW_BENCH_THREADS (comma list, default "1,2,4,8"),
  * --cache-bytes/--kernel-threads/--simd via common.hh. When
@@ -48,6 +58,7 @@
 #include "telemetry/trace.hh"
 #include "util/csv.hh"
 #include "util/parallel.hh"
+#include "util/rng.hh"
 
 using namespace varsaw;
 using namespace varsaw::bench;
@@ -289,6 +300,47 @@ measureGuardOverheadPercent(int n, int reps)
     return bare > 0.0 ? 100.0 * (guarded - bare) / bare : 0.0;
 }
 
+/** One shot-draw group: a k-column alias table, `shots` per call. */
+struct DrawCase
+{
+    std::uint64_t k;
+    std::uint64_t shots;
+};
+
+const DrawCase kDrawCases[] = {{2, 2048}, {4, 256},   {4, 2048},
+                               {8, 2048}, {64, 2048}, {1024, 512}};
+
+/** Draws timed per row and rep (whole calls of `shots` draws). */
+constexpr std::uint64_t kDrawsPerRep = 1ull << 20;
+
+/**
+ * Time @p calls back-to-back aliasDraws calls of @p shots draws, the
+ * generator state carried from call to call as the sampler carries
+ * it, from a fixed seed state. Returns the seconds; @p sig folds the
+ * tally and the final state.
+ */
+double
+timeDraws(const kern::KernelTable &table, std::uint64_t calls,
+          std::uint64_t shots, const std::vector<std::uint64_t> &threshold,
+          const std::vector<std::uint64_t> &alias, std::uint64_t *sig)
+{
+    std::uint64_t state[4] = {0x0123456789abcdefull, 0x1111,
+                              0xfedcba9876543210ull, 0x2222};
+    std::vector<std::uint64_t> tally(threshold.size(), 0);
+    Stopwatch watch;
+    for (std::uint64_t c = 0; c < calls; ++c)
+        table.aliasDraws(state, shots, threshold.size(),
+                         threshold.data(), alias.data(), tally.data());
+    const double seconds = watch.seconds();
+    std::uint64_t h = 1469598103934665603ull;
+    for (const std::uint64_t w : tally)
+        h = (h ^ w) * 1099511628211ull;
+    for (const std::uint64_t w : state)
+        h = (h ^ w) * 1099511628211ull;
+    *sig = h;
+    return seconds;
+}
+
 std::vector<int>
 parseIntList(const char *env, const std::vector<int> &dflt)
 {
@@ -322,8 +374,10 @@ main(int argc, char **argv)
            "sweeps",
            ">= 1.5x serial on apply1Q/applyDiagonalRun per vector "
            "tier vs forced scalar; >= 2.5x on 22q+ at 8 kernel "
-           "threads on unpinned multicore hosts; bit-identical "
-           "results in every tier x thread cell");
+           "threads on unpinned multicore hosts; AVX-512 shot draws "
+           ">= 1.5x scalar at k = 2, 4, 8 (k = 64, 1024 run the "
+           "scalar body in every tier); bit-identical results in "
+           "every tier x thread cell and shot-draw row");
 
     const int entry_threads = kernelThreads();
     // Tier sweep: forced scalar leads as the reference; then every
@@ -472,6 +526,70 @@ main(int argc, char **argv)
     kern::setSimdTier(entry_tier);
     table.print();
 
+    // Shot draws: one group per (k, shots), forced scalar first.
+    TablePrinter draw_table("Shot draws (aliasDraws): draws/s by SIMD "
+                            "tier (speedup vs scalar)");
+    draw_table.setHeader({"Columns", "Shots", "SIMD", "Seconds",
+                          "Draws/s", "Speedup", "Identical"});
+    std::string draw_rows;
+    for (const DrawCase &dc : kDrawCases) {
+        Rng rng(dc.k * 1000003 + dc.shots);
+        std::vector<std::uint64_t> threshold(dc.k), alias(dc.k);
+        for (std::uint64_t c = 0; c < dc.k; ++c) {
+            threshold[c] = rng.next();
+            alias[c] = rng.uniformInt(dc.k);
+        }
+        const std::uint64_t calls =
+            std::max<std::uint64_t>(1, kDrawsPerRep / dc.shots);
+        const double draws = static_cast<double>(calls * dc.shots) *
+            static_cast<double>(reps);
+        double reference_rate = 0.0;
+        std::uint64_t reference = 0;
+        for (const kern::SimdTier tier : tiers) {
+            const kern::KernelTable &kt = kern::kernelsFor(tier);
+            const bool is_reference = tier == kern::SimdTier::Scalar;
+            std::uint64_t sig = 0;
+            double seconds = 0.0;
+            for (int r = 0; r < reps; ++r) {
+                std::uint64_t rep_sig = 0;
+                seconds += timeDraws(kt, calls, dc.shots, threshold,
+                                     alias, &rep_sig);
+                sig = (sig ^ rep_sig) * 1099511628211ull;
+            }
+            const double rate = seconds > 0.0 ? draws / seconds : 0.0;
+            if (is_reference) {
+                reference = sig;
+                reference_rate = rate;
+            }
+            const bool identical = is_reference || sig == reference;
+            if (!identical)
+                ++mismatches;
+            const double speedup =
+                reference_rate > 0.0 ? rate / reference_rate : 0.0;
+            const char *tier_name = kern::simdTierName(tier);
+            draw_table.addRow(
+                {TablePrinter::num(static_cast<long long>(dc.k)),
+                 TablePrinter::num(static_cast<long long>(dc.shots)),
+                 tier_name, TablePrinter::num(seconds, 4),
+                 TablePrinter::num(rate, 0),
+                 TablePrinter::ratio(speedup),
+                 identical ? "yes" : "NO"});
+            char row[256];
+            std::snprintf(
+                row, sizeof(row),
+                "%s    {\"columns\": %llu, \"shots\": %llu,"
+                " \"simd_tier\": \"%s\", \"seconds\": %.6f,"
+                " \"draws_per_sec\": %.1f,"
+                " \"speedup_vs_scalar\": %.3f, \"identical\": %s}",
+                draw_rows.empty() ? "" : ",\n",
+                static_cast<unsigned long long>(dc.k),
+                static_cast<unsigned long long>(dc.shots), tier_name,
+                seconds, rate, speedup, identical ? "true" : "false");
+            draw_rows += row;
+        }
+    }
+    draw_table.print();
+
     // Per-cell detail rows (the CSV's machine-readable twin). The
     // standard perf-trajectory summary BENCH_micro_kernels.json is
     // written by emitBenchSummary() below.
@@ -493,8 +611,10 @@ main(int argc, char **argv)
                 std::fprintf(jf, "%s%d", i ? ", " : "", threads[i]);
             std::fprintf(jf, "],\n  \"reps\": %d,\n", reps);
             std::fprintf(jf, "  \"mismatches\": %d,\n", mismatches);
-            std::fprintf(jf, "  \"rows\": [\n%s\n  ]\n}\n",
+            std::fprintf(jf, "  \"rows\": [\n%s\n  ],\n",
                          json_rows.c_str());
+            std::fprintf(jf, "  \"draw_rows\": [\n%s\n  ]\n}\n",
+                         draw_rows.c_str());
             std::fclose(jf);
             std::printf("wrote %s\n", cells_path.c_str());
         }
@@ -527,8 +647,8 @@ main(int argc, char **argv)
     emitBenchSummary(summary);
 
     if (mismatches != 0) {
-        std::printf("\n%d kernel cell(s) diverged from the scalar "
-                    "serial reference!\n",
+        std::printf("\n%d kernel or shot-draw cell(s) diverged from "
+                    "the scalar serial reference!\n",
                     mismatches);
         if (check) {
             std::printf("CHECK FAILED: kernels must be "
@@ -539,7 +659,7 @@ main(int argc, char **argv)
     } else if (check) {
         std::printf("\nCHECK PASSED: all kernels bit-identical "
                     "across SIMD tiers {%s..%s} x kernel threads "
-                    "{%d..%d}\n",
+                    "{%d..%d}, shot draws across the same tiers\n",
                     kern::simdTierName(tiers.front()),
                     kern::simdTierName(tiers.back()),
                     threads.front(), threads.back());

@@ -59,9 +59,13 @@ VarsawEstimator::advanceIteration()
         ++iteration_;
     iterationStarted_ = true;
     probesThisIteration_ = 0;
+    // Nothing reads lastResult_ again before estimate() replaces
+    // it, so it moves. A second boundary with no evaluation between
+    // keeps the prior it moved in.
     if (haveResult_) {
-        prior_ = lastResult_;
+        prior_ = std::move(lastResult_);
         havePrior_ = true;
+        haveResult_ = false;
     }
     scheduler_.recordTick(iteration_);
 }

@@ -153,7 +153,8 @@ class VarsawEstimator : public EnergyEstimator
     std::vector<Pmf> prior_;
     bool havePrior_ = false;
 
-    /** Most recent probe's mitigated PMFs (next iteration's prior). */
+    /** Most recent probe's mitigated PMFs (next iteration's prior,
+     * moved out at the boundary). */
     std::vector<Pmf> lastResult_;
     bool haveResult_ = false;
 

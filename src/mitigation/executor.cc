@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "sim/density_matrix.hh"
+#include "sim/sampling.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/profiler.hh"
 #include "util/logging.hh"
@@ -251,7 +252,7 @@ IdealExecutor::executeImpl(const JobView &job, Rng &rng)
     if (job.shots == 0)
         return exact;
     telemetry::ScopedPhase phase(telemetry::Phase::Sampling);
-    return exact.sample(rng, job.shots);
+    return sampleShots(exact, rng, job.shots);
 }
 
 NoisyExecutor::NoisyExecutor(DeviceModel device, GateNoiseMode mode,
@@ -383,7 +384,7 @@ NoisyExecutor::executeImpl(const JobView &job, Rng &rng)
     if (job.shots == 0)
         return noisy;
     telemetry::ScopedPhase phase(telemetry::Phase::Sampling);
-    return noisy.sample(rng, job.shots);
+    return sampleShots(noisy, rng, job.shots);
 }
 
 DensityMatrixExecutor::DensityMatrixExecutor(DeviceModel device,

@@ -28,13 +28,15 @@ applyReadoutConfusion(std::vector<double> &probs,
         const double p01 = errors[q].p01;
         const double p10 = errors[q].p10;
         const std::size_t bit = 1ull << q;
-        for (std::size_t i = 0; i < dim; ++i) {
-            if (i & bit)
-                continue;
-            const double v0 = probs[i];
-            const double v1 = probs[i | bit];
-            probs[i] = (1.0 - p01) * v0 + p10 * v1;
-            probs[i | bit] = p01 * v0 + (1.0 - p10) * v1;
+        // Pairs (i, i | bit) with bit clear in i: blocks of 2·bit,
+        // whose lower halves hold every such i once.
+        for (std::size_t base = 0; base < dim; base += 2 * bit) {
+            for (std::size_t i = base; i < base + bit; ++i) {
+                const double v0 = probs[i];
+                const double v1 = probs[i | bit];
+                probs[i] = (1.0 - p01) * v0 + p10 * v1;
+                probs[i | bit] = p01 * v0 + (1.0 - p10) * v1;
+            }
         }
     }
 }
@@ -59,13 +61,13 @@ applyInverseReadoutConfusion(std::vector<double> &probs,
         const double inv10 = -p01 / det;
         const double inv11 = (1.0 - p01) / det;
         const std::size_t bit = 1ull << q;
-        for (std::size_t i = 0; i < dim; ++i) {
-            if (i & bit)
-                continue;
-            const double v0 = probs[i];
-            const double v1 = probs[i | bit];
-            probs[i] = inv00 * v0 + inv01 * v1;
-            probs[i | bit] = inv10 * v0 + inv11 * v1;
+        for (std::size_t base = 0; base < dim; base += 2 * bit) {
+            for (std::size_t i = base; i < base + bit; ++i) {
+                const double v0 = probs[i];
+                const double v1 = probs[i | bit];
+                probs[i] = inv00 * v0 + inv01 * v1;
+                probs[i | bit] = inv10 * v0 + inv11 * v1;
+            }
         }
     }
     return true;

@@ -5,12 +5,12 @@
  * contiguous memory segments.
  *
  * Only the three per-ISA translation units in this directory may
- * include this header — they are the TUs compiled with
+ * include this header. Like every TU they compile with
  * `-ffp-contract=off`, which is what makes the written DAGs below
  * the DAGs that actually execute. Everything here is `static` so
- * each TU gets its own copy compiled under its own flags; a copy
- * compiled elsewhere (under default contraction) must never be
- * chosen by the linker for a kernel TU.
+ * each TU gets its own copy compiled under its own arch flags; a
+ * copy compiled for a wider ISA must never be chosen by the linker
+ * for another TU.
  *
  * THE SPEC: every per-element operation is written once, as the
  * exact sequence of correctly-rounded IEEE-754 operations every
@@ -189,6 +189,68 @@ static inline Amp
 foldCplx(const Amp lane[kCplxLanes])
 {
     return (lane[0] + lane[1]) + (lane[2] + lane[3]);
+}
+
+// ---------------------------------------------------------------
+// Shot draws (sampling contract v2).
+// ---------------------------------------------------------------
+
+static inline std::uint64_t
+rotl64(std::uint64_t x, int r)
+{
+    return (x << r) | (x >> (64 - r));
+}
+
+/** The xoshiro256** output for state word s[1] (Blackman & Vigna):
+ * the same scrambler as util/rng's Rng::next(). */
+static inline std::uint64_t
+xoshiroScramble(std::uint64_t s1)
+{
+    return rotl64(s1 * 5, 7) * 9;
+}
+
+/** One xoshiro256** state transition, as in Rng::next(). */
+static inline void
+xoshiroStep(std::uint64_t s[4])
+{
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl64(s[3], 45);
+}
+
+/**
+ * The column one draw @p r lands in: the 128-bit product r × k
+ * gives the column (high word) and the coin (low word); the draw
+ * goes to the column's alias when coin >= threshold[column]. The
+ * pick is a mask, not a branch: the coin is random, so a branch
+ * would mispredict on every mixed column.
+ */
+static inline std::uint64_t
+aliasColumn(std::uint64_t r, std::uint64_t k,
+            const std::uint64_t *threshold, const std::uint64_t *alias)
+{
+    const unsigned __int128 wide =
+        static_cast<unsigned __int128>(r) * k;
+    const auto column = static_cast<std::uint64_t>(wide >> 64);
+    const auto coin = static_cast<std::uint64_t>(wide);
+    const std::uint64_t to_alias = std::uint64_t{0} -
+        static_cast<std::uint64_t>(coin >= threshold[column]);
+    return column ^ ((column ^ alias[column]) & to_alias);
+}
+
+/** One shot: draw from @p s, step it, and count the final column. */
+static inline void
+drawShot(std::uint64_t s[4], std::uint64_t k,
+         const std::uint64_t *threshold, const std::uint64_t *alias,
+         std::uint64_t *tally)
+{
+    const std::uint64_t r = xoshiroScramble(s[1]);
+    xoshiroStep(s);
+    ++tally[aliasColumn(r, k, threshold, alias)];
 }
 
 // ---------------------------------------------------------------

@@ -2,11 +2,12 @@
  * @file
  * Explicit-SIMD statevector kernels with runtime ISA dispatch.
  *
- * Every hot per-amplitude loop of the Statevector lives behind the
- * function-pointer table below, with three implementations compiled
- * into every binary as separate translation units carrying their own
- * arch flags (CMakeLists): a scalar reference (`-ffp-contract=off`,
- * explicit std::fma), an AVX2+FMA tier, and an AVX-512 tier. One
+ * Every hot per-amplitude loop of the Statevector, and the shot
+ * draws of sim/sampling.hh, live behind the function-pointer table
+ * below, with three implementations compiled into every binary as
+ * separate translation units carrying their own arch flags
+ * (CMakeLists): a scalar reference (explicit std::fma), an
+ * AVX2+FMA tier, and an AVX-512 tier. One
  * table is resolved at startup from the cpuid probe
  * (util/cpu_features) — or forced by `VARSAW_SIMD=
  * {scalar,avx2,avx512,auto}` / the drivers' `--simd` flag — so the
@@ -24,7 +25,7 @@
  *  - Each kernel's per-element arithmetic is a fixed rounding DAG
  *    (see the spec functions in kernel_spec.hh): where a vector
  *    tier uses a fused multiply-add the scalar reference calls
- *    std::fma, and `-ffp-contract=off` on all three kernel TUs
+ *    std::fma, and `-ffp-contract=off` on every TU (CMakeLists)
  *    stops the compiler from fusing (or un-fusing) anything else.
  *  - Reductions keep the fixed-chunk pairwise merge of
  *    util/parallel and, inside a chunk, accumulate into a fixed
@@ -170,6 +171,21 @@ struct KernelTable
     Amp (*expPauliChunk)(const Amp *amps, std::uint64_t x,
                          std::uint64_t z, int quadrant,
                          std::uint64_t i0, std::uint64_t i1);
+
+    /**
+     * The shot draws of sampling contract v2 (sim/sampling.hh):
+     * advance the xoshiro256** state words @p state by exactly
+     * @p shots steps and add one to tally[c] for each draw's final
+     * column c of the k-column alias table (@p threshold,
+     * @p alias). spec::drawShot is one shot. The result is a
+     * histogram, so only the multiset of draws and the final state
+     * are defined, not the order in which draws are binned. Integer
+     * work only: exact in every tier.
+     */
+    void (*aliasDraws)(std::uint64_t state[4], std::uint64_t shots,
+                       std::uint64_t k, const std::uint64_t *threshold,
+                       const std::uint64_t *alias,
+                       std::uint64_t *tally);
 };
 
 /**

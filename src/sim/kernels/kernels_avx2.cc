@@ -483,6 +483,9 @@ avx2Table()
         t.probChunk = &probChunkAvx2;
         t.innerChunk = &innerChunkAvx2;
         t.expPauliChunk = &expPauliChunkAvx2;
+        // No AVX2 body for the shot draws: this tier runs the
+        // scalar reference.
+        t.aliasDraws = scalarTable().aliasDraws;
         return t;
     }();
     return table;

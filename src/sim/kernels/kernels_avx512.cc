@@ -530,6 +530,107 @@ expPauliChunkAvx512(const Amp *amps, std::uint64_t x,
     return spec::foldCplx(lane);
 }
 
+// --- shot draws ---------------------------------------------------
+
+/** Draws generated per block: one 512-byte buffer of state words. */
+constexpr int kDrawBlock = 64;
+
+/**
+ * aliasDraws for a table of k = 2^L columns (L = 1, 2, 3), in
+ * blocks of kDrawBlock shots. A scalar loop steps the generator and
+ * records each draw's state word s[1]; eight lanes at a time then
+ * scramble the words (rotl(s1 * 5, 7) * 9 as shift-adds and one
+ * vprolq) and bin them. For power-of-two k the 128-bit product
+ * r × k has high word r >> (64 - L) and low word r << L, so column
+ * and coin are exact shifts of the reference's. The threshold and
+ * `column ^ alias` come from one register each through vpermq; an
+ * unsigned compare gives the alias mask and a masked xor the final
+ * column. Each column counts in its own vector of 64-bit lanes,
+ * reduced once at the end. The last shots mod kDrawBlock draws take
+ * the reference's per-shot step. Binning order differs from the
+ * reference, which a histogram cannot see; the draws, the tally and
+ * the final state are the reference's.
+ */
+template <int L>
+void
+aliasDrawsPow2(std::uint64_t state[4], std::uint64_t shots,
+               const std::uint64_t *threshold,
+               const std::uint64_t *alias, std::uint64_t *tally)
+{
+    constexpr int k = 1 << L;
+    alignas(64) std::uint64_t thr_words[8] = {};
+    alignas(64) std::uint64_t flip_words[8] = {};
+    for (int c = 0; c < k; ++c) {
+        thr_words[c] = threshold[c];
+        flip_words[c] = static_cast<std::uint64_t>(c) ^ alias[c];
+    }
+    const __m512i thr = _mm512_load_si512(thr_words);
+    const __m512i flip = _mm512_load_si512(flip_words);
+    const __m512i one = _mm512_set1_epi64(1);
+    __m512i count[k];
+    for (int c = 0; c < k; ++c)
+        count[c] = _mm512_setzero_si512();
+
+    std::uint64_t s[4] = {state[0], state[1], state[2], state[3]};
+    alignas(64) std::uint64_t words[kDrawBlock];
+    std::uint64_t left = shots;
+    for (; left >= kDrawBlock; left -= kDrawBlock) {
+        for (int i = 0; i < kDrawBlock; ++i) {
+            words[i] = s[1];
+            spec::xoshiroStep(s);
+        }
+        for (int i = 0; i < kDrawBlock; i += 8) {
+            const __m512i s1 = _mm512_load_si512(words + i);
+            const __m512i x5 =
+                _mm512_add_epi64(_mm512_slli_epi64(s1, 2), s1);
+            const __m512i rot = _mm512_rol_epi64(x5, 7);
+            const __m512i r =
+                _mm512_add_epi64(_mm512_slli_epi64(rot, 3), rot);
+            const __m512i column = _mm512_srli_epi64(r, 64 - L);
+            const __m512i coin = _mm512_slli_epi64(r, L);
+            const __mmask8 to_alias = _mm512_cmpge_epu64_mask(
+                coin, _mm512_permutexvar_epi64(column, thr));
+            const __m512i landed = _mm512_mask_xor_epi64(
+                column, to_alias, column,
+                _mm512_permutexvar_epi64(column, flip));
+            for (int c = 0; c < k; ++c) {
+                const __mmask8 hit = _mm512_cmpeq_epi64_mask(
+                    landed, _mm512_set1_epi64(c));
+                count[c] =
+                    _mm512_mask_add_epi64(count[c], hit, count[c], one);
+            }
+        }
+    }
+    for (; left > 0; --left)
+        spec::drawShot(s, k, threshold, alias, tally);
+    for (int c = 0; c < k; ++c)
+        tally[c] += static_cast<std::uint64_t>(
+            _mm512_reduce_add_epi64(count[c]));
+    for (int i = 0; i < 4; ++i)
+        state[i] = s[i];
+}
+
+void
+aliasDrawsAvx512(std::uint64_t state[4], std::uint64_t shots,
+                 std::uint64_t k, const std::uint64_t *threshold,
+                 const std::uint64_t *alias, std::uint64_t *tally)
+{
+    switch (k) {
+      case 2:
+        aliasDrawsPow2<1>(state, shots, threshold, alias, tally);
+        return;
+      case 4:
+        aliasDrawsPow2<2>(state, shots, threshold, alias, tally);
+        return;
+      case 8:
+        aliasDrawsPow2<3>(state, shots, threshold, alias, tally);
+        return;
+      default:
+        scalarTable().aliasDraws(state, shots, k, threshold, alias,
+                                 tally);
+    }
+}
+
 } // namespace
 
 const KernelTable &
@@ -547,6 +648,7 @@ avx512Table()
         t.probChunk = &probChunkAvx512;
         t.innerChunk = &innerChunkAvx512;
         t.expPauliChunk = &expPauliChunkAvx512;
+        t.aliasDraws = &aliasDrawsAvx512;
         return t;
     }();
     return table;

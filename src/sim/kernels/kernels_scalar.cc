@@ -128,6 +128,18 @@ expPauliChunkScalar(const Amp *amps, std::uint64_t x,
     return spec::foldCplx(lane);
 }
 
+void
+aliasDrawsScalar(std::uint64_t state[4], std::uint64_t shots,
+                 std::uint64_t k, const std::uint64_t *threshold,
+                 const std::uint64_t *alias, std::uint64_t *tally)
+{
+    std::uint64_t s[4] = {state[0], state[1], state[2], state[3]};
+    for (std::uint64_t i = 0; i < shots; ++i)
+        spec::drawShot(s, k, threshold, alias, tally);
+    for (int i = 0; i < 4; ++i)
+        state[i] = s[i];
+}
+
 } // namespace
 
 const KernelTable &
@@ -145,6 +157,7 @@ scalarTable()
         t.probChunk = &probChunkScalar;
         t.innerChunk = &innerChunkScalar;
         t.expPauliChunk = &expPauliChunkScalar;
+        t.aliasDraws = &aliasDrawsScalar;
         return t;
     }();
     return table;

@@ -7,7 +7,6 @@
 
 #include "util/bitops.hh"
 #include "util/logging.hh"
-#include "util/rng.hh"
 
 namespace varsaw {
 
@@ -39,27 +38,6 @@ mergeJoin(const std::vector<Pmf::Entry> &a,
             f(a[i++].p, b[j++].p);
         }
     }
-}
-
-/** One alias-table column (Walker 1977; Vose 1991 build). */
-struct AliasColumn
-{
-    /** Keep the column when the coin is below this; all-ones for a
-     * column that is never (bar a 2^-64 coin) redirected. */
-    std::uint64_t threshold = ~std::uint64_t{0};
-    /** Column drawn otherwise; a column's own index until paired. */
-    std::size_t alias = 0;
-};
-
-/** @p prob × 2^64 as a threshold; prob ≥ 1 maps to all-ones. */
-std::uint64_t
-toThreshold(double prob)
-{
-    if (prob >= 1.0)
-        return ~std::uint64_t{0};
-    if (prob <= 0.0)
-        return 0;
-    return static_cast<std::uint64_t>(prob * 0x1p64);
 }
 
 } // namespace
@@ -187,81 +165,6 @@ Pmf::expectationParity(std::uint64_t mask) const
     for (const Entry &entry : entries_)
         e += entry.p * paritySign(entry.outcome & mask);
     return e;
-}
-
-Pmf
-Pmf::sample(Rng &rng, std::uint64_t shots) const
-{
-    Pmf out(numBits_);
-    if (shots == 0)
-        return out;
-
-    // Columns are the entries with p > 0, in outcome order.
-    std::vector<std::size_t> source;
-    source.reserve(entries_.size());
-    double total = 0.0;
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        if (entries_[i].p <= 0.0)
-            continue;
-        total += entries_[i].p;
-        source.push_back(i);
-    }
-    const std::size_t k = source.size();
-    if (k == 0)
-        return out;
-
-    // Vose's build: scale each column to mean 1, then repeatedly pair
-    // the last small column with the last large one. The worklists
-    // are stacks filled in column order, and the arithmetic is plain
-    // + - * /, so the table is a pure function of the entries.
-    std::vector<AliasColumn> table(k);
-    std::vector<double> scaled(k);
-    std::vector<std::size_t> small, large;
-    small.reserve(k);
-    large.reserve(k);
-    const double mean_to_one = static_cast<double>(k) / total;
-    for (std::size_t c = 0; c < k; ++c) {
-        table[c].alias = c;
-        scaled[c] = entries_[source[c]].p * mean_to_one;
-        (scaled[c] < 1.0 ? small : large).push_back(c);
-    }
-    while (!small.empty() && !large.empty()) {
-        const std::size_t s = small.back();
-        small.pop_back();
-        const std::size_t l = large.back();
-        large.pop_back();
-        table[s].threshold = toThreshold(scaled[s]);
-        table[s].alias = l;
-        scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-        (scaled[l] < 1.0 ? small : large).push_back(l);
-    }
-    // Columns left on either list (by rounding) keep the all-ones
-    // threshold and their own index.
-
-    // One next() per shot; the product with k is exact in 128 bits,
-    // so the draw involves no floating-point rounding at all. The
-    // column/alias pick is a mask, not a branch: the coin is random,
-    // so a branch would mispredict on every mixed column.
-    std::vector<std::uint64_t> tally(k, 0);
-    for (std::uint64_t s = 0; s < shots; ++s) {
-        const unsigned __int128 wide =
-            static_cast<unsigned __int128>(rng.next()) * k;
-        const auto column = static_cast<std::size_t>(wide >> 64);
-        const auto coin = static_cast<std::uint64_t>(wide);
-        const AliasColumn &col = table[column];
-        const std::size_t to_alias =
-            std::size_t{0} - static_cast<std::size_t>(coin >= col.threshold);
-        ++tally[column ^ ((column ^ col.alias) & to_alias)];
-    }
-
-    // Column order is outcome order, so the result is born sorted.
-    const auto n = static_cast<double>(shots);
-    for (std::size_t c = 0; c < k; ++c)
-        if (tally[c] != 0)
-            out.entries_.push_back(
-                {entries_[source[c]].outcome,
-                 static_cast<double>(tally[c]) / n});
-    return out;
 }
 
 std::uint64_t

@@ -3,7 +3,8 @@
  * Probability mass functions over measurement outcomes.
  *
  * Pmf is the central currency of the mitigation pipeline: circuit
- * execution produces a Pmf (the empirical distribution of its shots),
+ * execution produces a Pmf (the empirical distribution of its shots,
+ * drawn by sim/sampling.hh),
  * JigSaw subsets produce marginal (local) Pmfs, and Bayesian
  * reconstruction rewrites a global Pmf to agree with the local ones.
  *
@@ -24,8 +25,6 @@
 #include <vector>
 
 namespace varsaw {
-
-class Rng;
 
 /** Probability mass function over packed bit-string outcomes. */
 class Pmf
@@ -106,18 +105,6 @@ class Pmf
      * @return Sum over outcomes of p(x) * (-1)^popcount(x & mask).
      */
     double expectationParity(std::uint64_t mask) const;
-
-    /**
-     * Draw @p shots outcomes and return their empirical distribution:
-     * count / shots for every outcome drawn at least once.
-     *
-     * Sampling contract v2 (the bits every determinism gate pins):
-     * a Walker/Vose alias table over the entries with p > 0, in
-     * outcome order; one Rng::next() per shot, whose 128-bit product
-     * with the column count gives the column (high word) and the
-     * integer coin against the column's threshold (low word).
-     */
-    Pmf sample(Rng &rng, std::uint64_t shots) const;
 
     /** Most probable outcome (lowest on ties; 0 for an empty PMF). */
     std::uint64_t argmax() const;

@@ -11,6 +11,7 @@
 #ifndef VARSAW_UTIL_RNG_HH
 #define VARSAW_UTIL_RNG_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -29,8 +30,10 @@ class Rng
     /** Construct from a 64-bit seed (expanded via splitmix64). */
     explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
 
-    /** Next raw 64-bit value (inline: shot sampling calls it once
-     *  per shot). */
+    /** The four xoshiro256** state words. */
+    using State = std::array<std::uint64_t, 4>;
+
+    /** Next raw 64-bit value. */
     std::uint64_t
     next()
     {
@@ -46,6 +49,16 @@ class Rng
 
         return result;
     }
+
+    /**
+     * The generator's state words. Shot sampling hands them to the
+     * draw kernel (sim/kernels), which steps its own copy of the
+     * generator, and writes the advanced state back with setState.
+     */
+    State state() const { return s_; }
+
+    /** Replace the state words (the cached normal is kept). */
+    void setState(const State &state) { s_ = state; }
 
     /** Uniform double in [0, 1). */
     double uniform();
@@ -94,7 +107,7 @@ class Rng
         return (x << k) | (x >> (64 - k));
     }
 
-    std::uint64_t s_[4];
+    State s_;
     bool hasCachedNormal_ = false;
     double cachedNormal_ = 0.0;
 };

@@ -33,6 +33,7 @@
 #include "sim/sim_engine.hh"
 #include "sim/circuit_hash.hh"
 #include "sim/job.hh"
+#include "sim/sampling.hh"
 #include "sim/state_cache.hh"
 #include "sim/statevector.hh"
 

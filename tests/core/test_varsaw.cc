@@ -200,6 +200,44 @@ TEST(VarsawEstimator, IterationPacingSharesPriorAcrossProbes)
                   est.plan().bases.bases.size());
 }
 
+TEST(VarsawEstimator, RepeatedBoundaryKeepsThePrior)
+{
+    // The boundary moves the last result into the prior. A second
+    // boundary with no evaluation in between must keep that prior,
+    // so the stale chain reads exactly what a single boundary gives.
+    Fixture f;
+    DeviceModel device = DeviceModel::uniform(4, 0.03, 0.06, 0.05);
+    VarsawConfig config =
+        exactShotsConfig(GlobalScheduler::Mode::MaxSparsity);
+    config.subsetShots = 512;
+    config.globalShots = 512;
+    std::vector<double> shifted = f.params;
+    for (double &p : shifted)
+        p += 0.05;
+
+    const auto run = [&](bool double_boundary) {
+        NoisyExecutor exec(device,
+                           GateNoiseMode::AnalyticDepolarizing, 5);
+        VarsawEstimator est(f.h, f.ansatz.circuit(), exec, config);
+        std::vector<double> energies;
+        est.onIterationBoundary();
+        energies.push_back(est.estimate(f.params)); // runs Globals
+        est.onIterationBoundary();
+        if (double_boundary)
+            est.onIterationBoundary();
+        energies.push_back(est.estimate(shifted)); // stale chain
+        est.onIterationBoundary();
+        energies.push_back(est.estimate(f.params));
+        EXPECT_EQ(est.scheduler().globalsRun(), 1u);
+        return energies;
+    };
+    const std::vector<double> once = run(false);
+    const std::vector<double> twice = run(true);
+    ASSERT_EQ(once.size(), twice.size());
+    for (std::size_t i = 0; i < once.size(); ++i)
+        EXPECT_EQ(once[i], twice[i]) << "evaluation " << i;
+}
+
 TEST(VarsawEstimator, SchedulerCountsIterationsNotProbes)
 {
     Fixture f;

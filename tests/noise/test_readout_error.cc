@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "noise/readout_error.hh"
 #include "util/rng.hh"
@@ -118,6 +120,82 @@ TEST(CrosstalkFactor, GrowsLinearly)
     EXPECT_DOUBLE_EQ(crosstalkFactor(2, 0.05), 1.05);
     EXPECT_DOUBLE_EQ(crosstalkFactor(27, 0.04), 1.0 + 26 * 0.04);
     EXPECT_DOUBLE_EQ(crosstalkFactor(0, 0.05), 1.0);
+}
+
+/**
+ * The skip-scan form both confusion passes had before they walked
+ * pairs: sweep every index and skip those with the bit set. The
+ * per-pair arithmetic is @p update(v0, v1, q).
+ */
+template <typename Update>
+void
+skipScanPasses(std::vector<double> &probs, int bits, Update update)
+{
+    for (int q = 0; q < bits; ++q) {
+        const std::size_t bit = 1ull << q;
+        for (std::size_t i = 0; i < probs.size(); ++i) {
+            if (i & bit)
+                continue;
+            update(probs[i], probs[i | bit], q);
+        }
+    }
+}
+
+/** Bitwise equality of two double vectors. */
+bool
+sameBits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+        std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) ==
+        0;
+}
+
+TEST(ReadoutConfusion, PairWalkMatchesSkipScanBitForBit)
+{
+    Rng rng(4242);
+    for (int bits = 1; bits <= 14; ++bits) {
+        std::vector<double> probs(1ull << bits);
+        for (double &p : probs)
+            p = rng.uniform();
+        std::vector<ReadoutError> errors(bits);
+        for (auto &e : errors) {
+            e.p01 = rng.uniform(0.0, 0.2);
+            e.p10 = rng.uniform(0.0, 0.2);
+        }
+
+        std::vector<double> forward = probs;
+        applyReadoutConfusion(forward, errors);
+        std::vector<double> forward_ref = probs;
+        skipScanPasses(forward_ref, bits,
+                       [&](double &lo, double &hi, int q) {
+                           const double p01 = errors[q].p01;
+                           const double p10 = errors[q].p10;
+                           const double v0 = lo;
+                           const double v1 = hi;
+                           lo = (1.0 - p01) * v0 + p10 * v1;
+                           hi = p01 * v0 + (1.0 - p10) * v1;
+                       });
+        EXPECT_TRUE(sameBits(forward, forward_ref)) << bits << " bits";
+
+        std::vector<double> inverse = probs;
+        ASSERT_TRUE(applyInverseReadoutConfusion(inverse, errors));
+        std::vector<double> inverse_ref = probs;
+        skipScanPasses(inverse_ref, bits,
+                       [&](double &lo, double &hi, int q) {
+                           const double p01 = errors[q].p01;
+                           const double p10 = errors[q].p10;
+                           const double det = 1.0 - p01 - p10;
+                           const double inv00 = (1.0 - p10) / det;
+                           const double inv01 = -p10 / det;
+                           const double inv10 = -p01 / det;
+                           const double inv11 = (1.0 - p01) / det;
+                           const double v0 = lo;
+                           const double v1 = hi;
+                           lo = inv00 * v0 + inv01 * v1;
+                           hi = inv10 * v0 + inv11 * v1;
+                       });
+        EXPECT_TRUE(sameBits(inverse, inverse_ref)) << bits << " bits";
+    }
 }
 
 /** Property: confusion is a stochastic map for any rates <= 0.5. */

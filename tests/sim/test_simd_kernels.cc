@@ -23,9 +23,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <complex>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "sim/kernels/kernels.hh"
@@ -33,6 +35,7 @@
 #include "util/aligned.hh"
 #include "util/bitops.hh"
 #include "util/parallel.hh"
+#include "util/rng.hh"
 
 namespace varsaw {
 namespace {
@@ -437,6 +440,209 @@ TEST(SimdKernels, DirectTableRaggedAndUnalignedRanges)
                 ASSERT_TRUE(sameBits(want[i], got[i]))
                     << tag("probChunk") << " [" << i0 << "," << i1
                     << ") i=" << i;
+        }
+    }
+}
+
+// --- shot draws (aliasDraws) -------------------------------------
+
+/** An alias table as the draw kernel reads it. */
+struct DrawTable
+{
+    std::vector<std::uint64_t> threshold;
+    std::vector<std::uint64_t> alias;
+};
+
+enum class TableShape
+{
+    Flat,     //!< random coins and aliases, one always-redirecting column
+    Peaked,   //!< column 0 keeps everything; the rest mostly go to 0
+    AllOnes,  //!< every threshold all-ones: redirect on no real coin
+    TieFirst, //!< the first draw's coin is its column's threshold
+    TieLast,  //!< the last draw's coin is its column's threshold
+};
+
+const TableShape kDrawShapes[] = {TableShape::Flat, TableShape::Peaked,
+                                  TableShape::AllOnes,
+                                  TableShape::TieFirst,
+                                  TableShape::TieLast};
+
+const char *
+shapeName(TableShape shape)
+{
+    switch (shape) {
+      case TableShape::Flat:
+        return "flat";
+      case TableShape::Peaked:
+        return "peaked";
+      case TableShape::AllOnes:
+        return "all-ones";
+      case TableShape::TieFirst:
+        return "tie-first";
+      default:
+        return "tie-last";
+    }
+}
+
+/**
+ * A k-column table of @p shape. The tie shapes read the draws of
+ * @p seed: one draw's coin becomes its column's threshold, so that
+ * draw sits exactly on the boundary (`coin >= threshold` sends it
+ * to the alias; `coin > threshold` would keep it), where random
+ * thresholds tie with probability 2^-64. The first draw lands in
+ * the AVX-512 body's 64-draw blocks when shots >= 64, the last in
+ * its per-shot tail when shots mod 64 != 0. One tie only: ties in
+ * every column with cyclic aliases would cancel in the tally.
+ */
+DrawTable
+makeDrawTable(std::uint64_t k, TableShape shape, Rng &rng,
+              const Rng::State &seed, std::uint64_t shots)
+{
+    DrawTable t;
+    t.threshold.assign(k, ~0ull);
+    t.alias.resize(k);
+    for (std::uint64_t c = 0; c < k; ++c) {
+        switch (shape) {
+          case TableShape::Flat:
+            t.threshold[c] = c == k / 2 ? 0 : rng.next();
+            t.alias[c] = rng.uniformInt(k);
+            break;
+          case TableShape::Peaked:
+            t.threshold[c] = c == 0 ? ~0ull : rng.next() >> 6;
+            t.alias[c] = 0;
+            break;
+          default:
+            t.alias[c] = (c + 1) % k;
+            break;
+        }
+    }
+    const bool tie = shape == TableShape::TieFirst ||
+        shape == TableShape::TieLast;
+    if (tie && shots > 0) {
+        Rng draws;
+        draws.setState(seed);
+        const std::uint64_t target =
+            shape == TableShape::TieFirst ? 0 : shots - 1;
+        for (std::uint64_t s = 0; s < target; ++s)
+            draws.next();
+        const unsigned __int128 wide =
+            static_cast<unsigned __int128>(draws.next()) * k;
+        t.threshold[static_cast<std::uint64_t>(wide >> 64)] =
+            static_cast<std::uint64_t>(wide);
+    }
+    return t;
+}
+
+const std::vector<std::uint64_t> kDrawColumns = {1, 2,  3,  4,  5,    6,
+                                                 7, 8,  9,  16, 64, 1024};
+const std::vector<std::uint64_t> kDrawShots = {0,   1,   63,  64,   65,
+                                               127, 128, 777, 2048, 4099};
+
+/** The tally (added onto @p start) and final state of one call. */
+struct DrawResult
+{
+    std::vector<std::uint64_t> tally;
+    std::uint64_t state[4];
+};
+
+DrawResult
+runDraws(const kern::KernelTable &table, const Rng::State &seed,
+         std::uint64_t shots, const DrawTable &t,
+         const std::vector<std::uint64_t> &start)
+{
+    DrawResult out;
+    out.tally = start;
+    std::copy(seed.begin(), seed.end(), out.state);
+    table.aliasDraws(out.state, shots, t.threshold.size(),
+                     t.threshold.data(), t.alias.data(),
+                     out.tally.data());
+    return out;
+}
+
+std::string
+drawCase(std::uint64_t k, TableShape shape, std::uint64_t shots)
+{
+    return "k=" + std::to_string(k) + " shape=" + shapeName(shape) +
+        " shots=" + std::to_string(shots);
+}
+
+/**
+ * Every tier's aliasDraws equals the scalar reference in tally and
+ * final generator state, for the AVX-512 body's column counts (2,
+ * 4, 8) and the reference-only ones, at shot counts on both sides
+ * of its 64-draw blocks. The tally starts non-zero, so a body that
+ * overwrites instead of adding fails too.
+ */
+TEST(SimdKernels, AliasDrawsBitIdenticalAcrossTiers)
+{
+    const kern::KernelTable &scalar =
+        kern::kernelsFor(SimdTier::Scalar);
+    Rng tables(91);
+    for (const std::uint64_t k : kDrawColumns) {
+        std::vector<std::uint64_t> start(k);
+        for (std::uint64_t c = 0; c < k; ++c)
+            start[c] = 1000 * c;
+        for (const std::uint64_t shots : kDrawShots) {
+            const Rng::State seed = Rng(mix64(k, shots)).state();
+            for (const TableShape shape : kDrawShapes) {
+                const DrawTable t =
+                    makeDrawTable(k, shape, tables, seed, shots);
+                const DrawResult ref =
+                    runDraws(scalar, seed, shots, t, start);
+                for (const SimdTier tier : supportedTiers()) {
+                    const DrawResult got = runDraws(
+                        kern::kernelsFor(tier), seed, shots, t, start);
+                    const std::string where =
+                        std::string(kern::simdTierName(tier)) + " " +
+                        drawCase(k, shape, shots);
+                    EXPECT_EQ(got.tally, ref.tally) << where;
+                    EXPECT_TRUE(std::equal(got.state, got.state + 4,
+                                           ref.state))
+                        << where;
+                }
+            }
+        }
+    }
+}
+
+/**
+ * The scalar reference is sampling contract v2's draw loop: one
+ * Rng::next() per shot, column from the high word of next() × k,
+ * alias when the low word is >= the column's threshold.
+ */
+TEST(SimdKernels, ScalarAliasDrawsMatchRngLoop)
+{
+    const kern::KernelTable &scalar =
+        kern::kernelsFor(SimdTier::Scalar);
+    Rng tables(92);
+    for (const std::uint64_t k : kDrawColumns) {
+        for (const std::uint64_t shots : kDrawShots) {
+            const Rng::State seed = Rng(mix64(k + 17, shots)).state();
+            for (const TableShape shape : kDrawShapes) {
+                const DrawTable t =
+                    makeDrawTable(k, shape, tables, seed, shots);
+                const DrawResult got =
+                    runDraws(scalar, seed, shots, t,
+                             std::vector<std::uint64_t>(k, 0));
+                Rng rng;
+                rng.setState(seed);
+                std::vector<std::uint64_t> tally(k, 0);
+                for (std::uint64_t s = 0; s < shots; ++s) {
+                    const unsigned __int128 wide =
+                        static_cast<unsigned __int128>(rng.next()) * k;
+                    auto column = static_cast<std::uint64_t>(wide >> 64);
+                    const auto coin = static_cast<std::uint64_t>(wide);
+                    if (coin >= t.threshold[column])
+                        column = t.alias[column];
+                    ++tally[column];
+                }
+                const std::string where = drawCase(k, shape, shots);
+                EXPECT_EQ(got.tally, tally) << where;
+                const Rng::State state = rng.state();
+                EXPECT_TRUE(
+                    std::equal(state.begin(), state.end(), got.state))
+                    << where;
+            }
         }
     }
 }

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit and property tests for probability mass functions: the
- * sorted flat storage and the alias-table shot sampler.
+ * sorted flat storage and its sums, marginals and distances (the
+ * shot sampler's tests are in tests/sim/test_sampling.cc).
  */
 
 #include <gtest/gtest.h>
@@ -115,77 +116,6 @@ TEST(Pmf, ExpectationParityBounds)
     }
 }
 
-TEST(Pmf, SampleMatchesDistribution)
-{
-    Pmf pmf(2);
-    pmf.set(0, 0.7);
-    pmf.set(3, 0.3);
-    Rng rng(8);
-    const Pmf sampled = pmf.sample(rng, 100000);
-    EXPECT_EQ(sampled.numBits(), 2);
-    EXPECT_NEAR(sampled.totalMass(), 1.0, 1e-12);
-    EXPECT_NEAR(sampled.prob(0), 0.7, 0.01);
-    EXPECT_NEAR(sampled.prob(3), 0.3, 0.01);
-    EXPECT_EQ(sampled.prob(1), 0.0);
-}
-
-TEST(Pmf, SampleNeverDrawsZeroOrNegativeEntries)
-{
-    Pmf pmf(3);
-    pmf.set(0, 0.0);
-    pmf.set(1, 0.5);
-    pmf.set(2, -0.25);
-    pmf.set(5, 0.5);
-    pmf.set(7, 0.0);
-    Rng rng(21);
-    const Pmf sampled = pmf.sample(rng, 50000);
-    ASSERT_EQ(sampled.supportSize(), 2u);
-    EXPECT_EQ(sampled.entries()[0].outcome, 1u);
-    EXPECT_EQ(sampled.entries()[1].outcome, 5u);
-}
-
-TEST(Pmf, SampleOfSingleOutcomeIsCertain)
-{
-    Pmf pmf(4);
-    pmf.set(9, 0.3);
-    Rng rng(22);
-    const Pmf sampled = pmf.sample(rng, 1000);
-    ASSERT_EQ(sampled.supportSize(), 1u);
-    EXPECT_EQ(sampled.entries()[0], (Pmf::Entry{9, 1.0}));
-}
-
-TEST(Pmf, SampleOfEmptyOrZeroShotsIsEmpty)
-{
-    Rng rng(23);
-    EXPECT_EQ(Pmf(3).sample(rng, 100), Pmf(3));
-    EXPECT_EQ(makeBell().sample(rng, 0), Pmf(2));
-}
-
-TEST(Pmf, SampledSupportIsSortedSubsetWithIntegerCounts)
-{
-    Rng rng(24);
-    Pmf pmf(6);
-    for (int i = 0; i < 64; ++i)
-        if (i % 5 != 0)
-            pmf.set(i, rng.uniform());
-    const std::uint64_t shots = 777;
-    const Pmf sampled = pmf.sample(rng, shots);
-
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < sampled.supportSize(); ++i) {
-        const Pmf::Entry &e = sampled.entries()[i];
-        if (i > 0) {
-            EXPECT_LT(sampled.entries()[i - 1].outcome, e.outcome);
-        }
-        EXPECT_GT(pmf.prob(e.outcome), 0.0) << "outcome " << e.outcome;
-        const double count = e.p * static_cast<double>(shots);
-        EXPECT_NEAR(count, std::nearbyint(count), 1e-9);
-        EXPECT_GE(count, 1.0 - 1e-9);
-        total += static_cast<std::uint64_t>(std::nearbyint(count));
-    }
-    EXPECT_EQ(total, shots);
-}
-
 TEST(Pmf, SupportStaysSortedAfterSetAndAccumulate)
 {
     // Insert a permutation of outcomes in scrambled order, then
@@ -212,51 +142,6 @@ TEST(Pmf, SupportStaysSortedAfterSetAndAccumulate)
     pmf.set(195, 1.0);
     EXPECT_EQ(pmf.prob(195), 1.0);
     EXPECT_EQ(pmf.supportSize(), 44u);
-}
-
-TEST(Pmf, SampleFitsDistributionChiSquare)
-{
-    // 64 outcomes with weights spread over two decades, 10^6 shots.
-    // The seed is fixed, so the statistic is a constant of the
-    // sampling contract, not a flaky draw.
-    Pmf pmf(6);
-    Rng weights(26);
-    for (int i = 0; i < 64; ++i)
-        pmf.set(i, 0.1 + weights.uniform() * (i % 2 == 0 ? 1.0 : 10.0));
-    pmf.normalize();
-
-    const std::uint64_t shots = 1000000;
-    Rng rng(27);
-    const Pmf sampled = pmf.sample(rng, shots);
-    double chi2 = 0.0;
-    for (const Pmf::Entry &e : pmf.entries()) {
-        const double expected = e.p * static_cast<double>(shots);
-        const double observed =
-            sampled.prob(e.outcome) * static_cast<double>(shots);
-        chi2 += (observed - expected) * (observed - expected) / expected;
-    }
-    // 63 degrees of freedom: the 0.1% upper critical value is 103.4.
-    EXPECT_LT(chi2, 103.4);
-}
-
-TEST(Pmf, SampleGoldenEntries)
-{
-    // Pins sampling contract v2: the alias-table build order, the
-    // 128-bit column/coin split, and count/shots emission. Any change
-    // to those changes these entries.
-    const std::vector<double> dense = {0.05, 0.1, 0.0, 0.2,
-                                       0.15, 0.25, 0.05, 0.2};
-    const Pmf pmf = Pmf::fromDense(3, dense);
-    Rng rng(2024);
-    const Pmf sampled = pmf.sample(rng, 1000);
-    // (outcome, count): outcome 2 has p = 0 and is never drawn.
-    const std::vector<std::pair<std::uint64_t, int>> counts = {
-        {0, 54}, {1, 99}, {3, 204}, {4, 169}, {5, 229}, {6, 60},
-        {7, 185}};
-    Pmf golden(3);
-    for (const auto &[outcome, count] : counts)
-        golden.set(outcome, count / 1000.0);
-    EXPECT_EQ(sampled, golden);
 }
 
 TEST(Pmf, EqualityIsExact)

@@ -8,7 +8,7 @@
  * and docs/architecture.md for the rationale):
  *   layering            one-way layer DAG over #include edges
  *   intrinsics          arch intrinsic headers confined to kernels/
- *   fp-contract         kernel TUs pinned to -ffp-contract=off
+ *   fp-contract         every TU built with -ffp-contract=off
  *   nondeterminism      rand()/random_device/wall-clock now() bans
  *   parallel-accumulate reductions must use the fixed-fold helpers
  *   unordered-iter      no iteration over unordered containers
@@ -210,6 +210,41 @@ ruleIntrinsics(const Manifest &m, const Tree &tree,
 
 // ---- fp-contract -----------------------------------------------------------
 
+/**
+ * Whether @p cmake passes @p flag to an add_compile_options() call,
+ * i.e. to every TU the file builds. `#` comments are skipped, so a
+ * comment that names the flag does not count.
+ */
+bool
+globalCompileOption(const std::string &cmake, const std::string &flag)
+{
+    std::string code;
+    code.reserve(cmake.size());
+    bool comment = false;
+    for (const char c : cmake) {
+        if (c == '\n')
+            comment = false;
+        else if (c == '#')
+            comment = true;
+        code += comment ? ' ' : c;
+    }
+    const std::string call = "add_compile_options";
+    for (std::size_t pos = code.find(call); pos != std::string::npos;
+         pos = code.find(call, pos + call.size())) {
+        const std::size_t open = code.find_first_not_of(
+            " \t", pos + call.size());
+        if (open == std::string::npos || code[open] != '(')
+            continue;
+        const std::size_t close = matchParen(code, open);
+        if (close == std::string::npos)
+            break;
+        if (code.substr(open, close - open).find(flag) !=
+            std::string::npos)
+            return true;
+    }
+    return false;
+}
+
 void
 ruleFpContract(const Manifest &m, const Tree &tree,
                std::vector<Finding> &findings)
@@ -224,15 +259,15 @@ ruleFpContract(const Manifest &m, const Tree &tree,
     const std::string cmakeName =
         m.str("rule." + id, "cmake", "CMakeLists.txt");
 
-    // Kernel translation units in the scanned tree.
-    std::vector<const SourceFile *> kernels;
+    // A tree with kernel translation units is a tree whose results
+    // the bit-identity contract covers.
+    bool hasKernels = false;
     for (const SourceFile &f : tree.files)
-        if (pathUnder(f.path, kernelDir) &&
-            f.path.size() > 3 &&
+        if (pathUnder(f.path, kernelDir) && f.path.size() > 3 &&
             f.path.compare(f.path.size() - 3, 3, ".cc") == 0)
-            kernels.push_back(&f);
-    if (kernels.empty())
-        return; // tree has no kernel TUs (e.g. a lint fixture)
+            hasKernels = true;
+    if (!hasKernels)
+        return; // e.g. a lint fixture for another rule
 
     const SourceFile *cmake = nullptr;
     for (const SourceFile &f : tree.files)
@@ -242,23 +277,16 @@ ruleFpContract(const Manifest &m, const Tree &tree,
         findings.push_back(
             {cmakeName, 0, id,
              "kernel TUs exist but no " + cmakeName +
-                 " was scanned to verify their " + flag +
-                 " pinning"});
+                 " was scanned to verify the global " + flag});
         return;
     }
-    const bool hasFlag =
-        cmake->raw.find(flag) != std::string::npos;
-    for (const SourceFile *k : kernels) {
-        const std::string base =
-            k->path.substr(k->path.rfind('/') + 1);
-        if (!hasFlag ||
-            cmake->raw.find(base) == std::string::npos)
-            emit(findings, *cmake, 0, id,
-                 "kernel TU " + k->path + " is not pinned with " +
-                     flag + " in " + cmakeName +
-                     " (fixed rounding DAGs are part of the "
-                     "bit-identity contract)");
-    }
+    if (!globalCompileOption(cmake->raw, flag))
+        emit(findings, *cmake, 0, id,
+             cmakeName + " does not pass " + flag +
+                 " to add_compile_options(): every TU must compile "
+                 "without contraction (fixed rounding DAGs are part "
+                 "of the bit-identity contract, in and out of the "
+                 "kernel TUs)");
 }
 
 // ---- nondeterminism --------------------------------------------------------
