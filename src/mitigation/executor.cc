@@ -87,8 +87,7 @@ backoffNs(const fault::RetryPolicy &policy, int attempt)
 } // namespace
 
 Executor::Executor(std::uint64_t seed)
-    : seed_(seed), rng_(seed),
-      simEngine_(std::make_shared<SimEngine>())
+    : seed_(seed), simEngine_(std::make_shared<SimEngine>())
 {
 }
 
@@ -99,44 +98,9 @@ Executor::execute(const Circuit &circuit,
 {
     // Non-owning view: the caller's circuit and params are borrowed
     // for the duration of the call, never deep-copied into a
-    // transient job.
+    // transient job. value() throws a failed job's StatusError.
     const JobView job{circuit, params, shots, nullptr, std::nullopt};
-    if (job.numMeasured() == 0)
-        throw StatusError(invalidArgumentError(
-            "Executor::execute: circuit has no measurements"));
-    if (Status invalid = validateJob(job); !invalid.ok())
-        throw StatusError(std::move(invalid));
-    // The legacy serial path: no fault injection or retries — it
-    // predates content-derived streams, so a retry here could NOT
-    // be bit-identical (rng_ is mutated per attempt). All service
-    // and runtime traffic goes through tryExecuteJob().
-    circuits_.fetch_add(1, std::memory_order_relaxed);
-    shots_.fetch_add(shots, std::memory_order_relaxed);
-    return executeImpl(job, rng_);
-}
-
-Pmf
-Executor::executeJob(const Circuit &circuit,
-                     const std::vector<double> &params,
-                     std::uint64_t shots, std::uint64_t stream)
-{
-    return executeJob(
-        JobView{circuit, params, shots, nullptr, std::nullopt}, stream);
-}
-
-Pmf
-Executor::executeJob(const CircuitJob &job, std::uint64_t stream)
-{
-    return executeJob(job.view(), stream);
-}
-
-Pmf
-Executor::executeJob(const JobView &job, std::uint64_t stream)
-{
-    StatusOr<Pmf> result = tryExecuteJob(job, stream);
-    if (!result.ok())
-        throw StatusError(result.status());
-    return std::move(result).value();
+    return tryExecuteJob(job, jobStream(makeJobKey(job))).value();
 }
 
 Status
@@ -154,10 +118,10 @@ Executor::tryExecuteJob(const JobView &job, std::uint64_t stream)
     // multi-tenant service.
     if (job.numMeasured() == 0)
         return invalidArgumentError(
-            "Executor::executeJob: circuit has no measurements");
+            "Executor::tryExecuteJob: circuit has no measurements");
     if (job.prep && job.prep->numQubits() != job.circuit.numQubits())
         return invalidArgumentError(
-            "Executor::executeJob: prep/suffix width mismatch");
+            "Executor::tryExecuteJob: prep/suffix width mismatch");
     if (Status invalid = validateJob(job); !invalid.ok())
         return invalid;
 

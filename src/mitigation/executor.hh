@@ -43,18 +43,19 @@ namespace varsaw {
 /**
  * Abstract circuit-execution backend with cost accounting.
  *
- * Every call to execute()/executeJob() increments the circuit
- * counter by one and the shot counter by the requested shots,
- * regardless of backend. Counters are atomic so concurrent
+ * Every execution attempt that reaches the backend increments the
+ * circuit counter by one and the shot counter by the requested
+ * shots, regardless of backend. Counters are atomic so concurrent
  * submissions through the batch runtime account exactly.
  *
- * Two entry points:
- *  - execute() draws samples from the executor's own serial RNG
- *    stream (the historical behaviour; not thread-safe);
- *  - executeJob() draws from a stream derived purely from
- *    (executor seed, stream id) and touches no mutable sampling
- *    state, so any number of jobs may run concurrently and results
- *    are independent of execution order.
+ * Every job samples from a stream derived purely from (executor
+ * seed, stream id) and touches no mutable sampling state, so any
+ * number of jobs may run concurrently and results are independent
+ * of execution order. Two entry points:
+ *  - tryExecuteJob() runs a job view on an explicit stream and
+ *    reports failures as a Status (the runtime's path);
+ *  - execute() runs one circuit on its content stream,
+ *    jobStream(makeJobKey(job)), and throws on failure.
  */
 class Executor
 {
@@ -65,42 +66,20 @@ class Executor
      * Execute a circuit and return the distribution over its
      * measured qubits (bit i of an outcome = measured qubit i).
      *
+     * The throwing form of tryExecuteJob() on the job's content
+     * stream: thread-safe, retried like every other job, and bit
+     * for bit what a BatchExecutor or a service session returns for
+     * the same (circuit, params, shots) on this backend.
+     *
      * @param circuit Circuit with a non-empty measurement spec.
      * @param params  Values for the circuit's symbolic parameters.
      * @param shots   Number of samples; 0 requests the exact
      *                (infinite-shot) distribution of this backend.
+     * @throws StatusError when tryExecuteJob() fails.
      */
     Pmf execute(const Circuit &circuit,
                 const std::vector<double> &params,
                 std::uint64_t shots);
-
-    /**
-     * Thread-safe execution with an explicit RNG stream id: samples
-     * are drawn from Rng::forStream(seed(), stream). Two calls with
-     * the same (circuit, params, shots, stream) return bit-identical
-     * results no matter which thread runs them or in what order —
-     * this is what makes batched execution reproducible.
-     */
-    Pmf executeJob(const Circuit &circuit,
-                   const std::vector<double> &params,
-                   std::uint64_t shots, std::uint64_t stream);
-
-    /**
-     * Thread-safe execution of a (possibly prefix-sharing) job.
-     * Equivalent to flattening the job into one circuit, but lets
-     * the SimEngine reuse the shared prepared state directly.
-     */
-    Pmf executeJob(const CircuitJob &job, std::uint64_t stream);
-
-    /**
-     * Thread-safe execution of a non-owning job view: the borrowed
-     * circuit/params are only read for the duration of the call.
-     * This is the zero-copy entry the other overloads funnel into.
-     * Failures surface as a thrown StatusError (the Pmf-returning
-     * interface cannot carry a Status); prefer tryExecuteJob() on
-     * paths that want to branch on the error.
-     */
-    Pmf executeJob(const JobView &job, std::uint64_t stream);
 
     /**
      * Fault-tolerant execution core: validate, then run up to
@@ -226,8 +205,8 @@ class Executor
      * Backend-specific execution over a non-owning view (no job
      * copy is ever made on the way down). Must be const w.r.t.
      * backend state apart from @p rng and the (internally
-     * synchronized) SimEngine: executeJob() calls this concurrently
-     * from multiple threads.
+     * synchronized) SimEngine: tryExecuteJob() calls this
+     * concurrently from multiple threads.
      */
     virtual Pmf executeImpl(const JobView &job, Rng &rng) = 0;
 
@@ -245,7 +224,6 @@ class Executor
     std::atomic<std::uint64_t> retries_{0};
     std::optional<fault::RetryPolicy> retry_;
     std::uint64_t seed_;
-    Rng rng_; //!< serial stream backing the legacy execute() path
     std::shared_ptr<SimEngine> simEngine_;
 };
 

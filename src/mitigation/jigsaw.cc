@@ -52,31 +52,6 @@ makeSubsetSuffix(const PauliString &subset)
     return c;
 }
 
-LocalPmf
-runSubset(Executor &executor, const Circuit &prepared,
-          const std::vector<double> &params, const PauliString &subset,
-          std::uint64_t shots)
-{
-    Circuit c = makeSubsetCircuit(prepared, subset);
-    LocalPmf local;
-    local.positions = subset.support();
-    local.pmf = executor.execute(c, params, shots);
-    return local;
-}
-
-JigsawCircuitSet
-makeJigsawCircuits(const Circuit &prepared, const PauliString &basis,
-                   int subset_size)
-{
-    JigsawCircuitSet set;
-    set.windows = windowSubsets(basis, subset_size);
-    set.subsetCircuits.reserve(set.windows.size());
-    for (const auto &w : set.windows)
-        set.subsetCircuits.push_back(makeSubsetCircuit(prepared, w));
-    set.globalCircuit = makeGlobalCircuit(prepared, basis);
-    return set;
-}
-
 JigsawCircuitSet
 makeJigsawSuffixes(const PauliString &basis, int subset_size)
 {
@@ -106,27 +81,6 @@ reconstructJigsaw(const JigsawCircuitSet &set,
     }
     return bayesianReconstruct(global_pmf, locals,
                                reconstruction_passes);
-}
-
-Pmf
-jigsawMitigate(Executor &executor, const Circuit &prepared,
-               const std::vector<double> &params,
-               const PauliString &basis, const JigsawConfig &config)
-{
-    // Steps 1-2: build and execute the CPMs, then the Global.
-    JigsawCircuitSet set =
-        makeJigsawCircuits(prepared, basis, config.subsetSize);
-    std::vector<Pmf> subset_pmfs;
-    subset_pmfs.reserve(set.subsetCircuits.size());
-    for (const auto &c : set.subsetCircuits)
-        subset_pmfs.push_back(
-            executor.execute(c, params, config.subsetShots));
-    Pmf global_pmf = executor.execute(set.globalCircuit, params,
-                                      config.globalShots);
-
-    // Step 3: Bayesian reconstruction.
-    return reconstructJigsaw(set, subset_pmfs, global_pmf,
-                             config.reconstructionPasses);
 }
 
 } // namespace varsaw

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "mitigation/bayesian.hh"
-#include "mitigation/executor.hh"
 #include "pauli/pauli_string.hh"
 #include "sim/circuit.hh"
 #include "util/pmf.hh"
@@ -73,40 +72,26 @@ Circuit makeGlobalSuffix(const PauliString &basis);
 Circuit makeSubsetSuffix(const PauliString &subset);
 
 /**
- * Execute one subset circuit and wrap its distribution as a
- * LocalPmf positioned at the subset's support qubits.
- */
-LocalPmf runSubset(Executor &executor, const Circuit &prepared,
-                   const std::vector<double> &params,
-                   const PauliString &subset, std::uint64_t shots);
-
-/**
  * The circuits one JigSaw mitigation needs, separated from their
  * execution so a batch runtime can run them (alongside the circuit
- * sets of every other basis) in parallel.
+ * sets of every other basis) in one batch.
  */
 struct JigsawCircuitSet
 {
     /** Sliding-window subsets of the basis. */
     std::vector<PauliString> windows;
 
-    /** CPM circuits, aligned with windows. */
+    /** CPM measurement suffixes, aligned with windows. */
     std::vector<Circuit> subsetCircuits;
 
-    /** The fully-measured Global circuit. */
+    /** The fully-measured Global's measurement suffix. */
     Circuit globalCircuit;
 };
 
-/** Build the CPM + Global circuits for one (prepared, basis) pair. */
-JigsawCircuitSet makeJigsawCircuits(const Circuit &prepared,
-                                    const PauliString &basis,
-                                    int subset_size);
-
 /**
- * Suffix-only variant of makeJigsawCircuits(): the same windows,
- * but subsetCircuits/globalCircuit hold measurement suffixes to be
- * submitted against a shared prep via Batch::addPrefixed(). The
- * reconstruction half (reconstructJigsaw) is shape-agnostic — it
+ * The sliding windows of @p basis with their CPM and Global
+ * measurement suffixes, to be submitted against a shared prep via
+ * Batch::addPrefixed(). The reconstruction half (reconstructJigsaw)
  * only reads the windows.
  */
 JigsawCircuitSet makeJigsawSuffixes(const PauliString &basis,
@@ -121,16 +106,6 @@ Pmf reconstructJigsaw(const JigsawCircuitSet &set,
                       const std::vector<Pmf> &subset_pmfs,
                       const Pmf &global_pmf,
                       int reconstruction_passes);
-
-/**
- * Full JigSaw mitigation of one (prepared circuit, basis) pair:
- * run Global + all sliding-window CPMs through @p executor and
- * return the reconstructed Output PMF over all qubits.
- */
-Pmf jigsawMitigate(Executor &executor, const Circuit &prepared,
-                   const std::vector<double> &params,
-                   const PauliString &basis,
-                   const JigsawConfig &config);
 
 } // namespace varsaw
 

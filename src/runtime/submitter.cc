@@ -21,16 +21,6 @@ JobSubmitter::collect(std::vector<std::future<Pmf>> &futures)
     return results;
 }
 
-Pmf
-JobSubmitter::runOne(const Circuit &circuit,
-                     const std::vector<double> &params,
-                     std::uint64_t shots)
-{
-    Batch batch;
-    batch.add(circuit, params, shots);
-    return run(batch).front();
-}
-
 std::unique_ptr<JobSubmitter>
 makeSubmitter(Executor &backend, const RuntimeConfig &config)
 {

@@ -76,11 +76,6 @@ class JobSubmitter
      */
     virtual std::vector<Pmf> run(const Batch &batch);
 
-    /** Convenience: run a single job through the submitter. */
-    Pmf runOne(const Circuit &circuit,
-               const std::vector<double> &params,
-               std::uint64_t shots);
-
   protected:
     /** Wait for every future: the results, in order. */
     static std::vector<Pmf>

@@ -43,7 +43,9 @@ sessionLabel(const Session &session)
 {
     if (!session.name().empty())
         return session.name();
-    return "s" + std::to_string(session.id());
+    std::string label = "s";
+    label += std::to_string(session.id());
+    return label;
 }
 
 /**
@@ -157,8 +159,7 @@ Session::Session(ExecutionService *service, std::string name,
       // The queue carries the session label so the scheduler can
       // attribute per-session queue-wait time (name_ and id_ are
       // initialized above; declaration order guarantees it).
-      queue_(service->scheduler_.openQueue(
-          name_.empty() ? "s" + std::to_string(id_) : name_)),
+      queue_(service->scheduler_.openQueue(sessionLabel(*this))),
       cacheResults_(cache_results), latencyClass_(latency_class)
 {
     service_->sessionsOpened_.fetch_add(1,

@@ -158,7 +158,7 @@ circuitPrefixHash(const Circuit &circuit, std::size_t count)
 }
 
 std::uint64_t
-jobCircuitHash(const CircuitJob &job)
+jobCircuitHash(const JobView &job)
 {
     if (!job.prep)
         return circuitStructuralHash(job.circuit);
@@ -195,7 +195,7 @@ JobKeyHasher::operator()(const JobKey &key) const
 }
 
 JobKey
-makeJobKey(const CircuitJob &job)
+makeJobKey(const JobView &job)
 {
     return {jobCircuitHash(job), parameterHash(job.params),
             job.shots};

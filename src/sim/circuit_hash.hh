@@ -42,6 +42,7 @@
 namespace varsaw {
 
 struct CircuitJob;
+struct JobView;
 
 /**
  * Structural hash of a circuit: qubit count, gate sequence (kind,
@@ -95,10 +96,10 @@ struct JobKeyHasher
  * flattened (prep + suffix) circuit — so prefixed and cloned
  * submissions of identical work dedupe against each other.
  */
-std::uint64_t jobCircuitHash(const CircuitJob &job);
+std::uint64_t jobCircuitHash(const JobView &job);
 
-/** Compute the content key of a job. */
-JobKey makeJobKey(const CircuitJob &job);
+/** Compute the content key of a job (a CircuitJob passes view()). */
+JobKey makeJobKey(const JobView &job);
 
 /** Content identity of a prepared state: prefix structure + params. */
 struct PrepKey

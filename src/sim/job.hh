@@ -7,8 +7,9 @@
  * Estimators build a Batch per objective evaluation and hand it to
  * BatchExecutor instead of looping over Executor::execute(). A
  * JobView is the non-owning shape of the same submission: backends
- * consume views, so the legacy serial execute() path can describe a
- * caller's circuit without deep-copying it into a transient job.
+ * consume views and content keys are hashed from them, so
+ * Executor::execute() can describe a caller's circuit without
+ * deep-copying it into a transient job.
  *
  * Jobs come in two shapes:
  *  - plain: `circuit` is the complete measurement circuit;
@@ -43,8 +44,8 @@ namespace varsaw {
  * Non-owning view of one circuit submission.
  *
  * The shape backends execute: it borrows the caller's circuit and
- * parameter storage instead of copying them, so the serial
- * Executor::execute() path costs no per-call clone. The referenced
+ * parameter storage instead of copying them, so
+ * Executor::execute() costs no per-call clone. The referenced
  * circuit/params must outlive the view — trivially true for the
  * synchronous backend calls this type is passed through.
  */

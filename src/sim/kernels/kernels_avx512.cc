@@ -23,7 +23,19 @@
 
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
 
+// GCC 12's avx512fintrin.h reads an uninitialized variable in
+// _mm512_undefined_* (GCC bug 105593, fixed in GCC 13), and every
+// inlined intrinsic repeats the warning. Silence it for the header
+// only: this file's own code is still checked.
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ < 13
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
+#else
+#include <immintrin.h>
+#endif
 #include <utility>
 
 namespace varsaw::kern::detail {

@@ -95,29 +95,6 @@ Rng::rademacher()
     return (next() & 1) ? 1 : -1;
 }
 
-std::size_t
-Rng::discrete(const std::vector<double> &weights)
-{
-    double total = 0.0;
-    for (double w : weights)
-        total += w;
-    if (total <= 0.0)
-        panic("Rng::discrete called with non-positive total weight");
-    double target = uniform() * total;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        target -= weights[i];
-        if (target <= 0.0)
-            return i;
-    }
-    return weights.size() - 1;
-}
-
-Rng
-Rng::split()
-{
-    return Rng(next() ^ 0xA5A5A5A55A5A5A5Aull);
-}
-
 Rng
 Rng::forStream(std::uint64_t seed, std::uint64_t stream)
 {

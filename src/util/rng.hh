@@ -13,7 +13,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 namespace varsaw {
 
@@ -80,17 +79,6 @@ class Rng
 
     /** Rademacher variate: +1 or -1 with equal probability. */
     int rademacher();
-
-    /**
-     * Sample an index from an unnormalized weight vector.
-     *
-     * @param weights Non-negative weights (need not sum to one).
-     * @return Index in [0, weights.size()).
-     */
-    std::size_t discrete(const std::vector<double> &weights);
-
-    /** Derive an independent child generator (for parallel streams). */
-    Rng split();
 
     /**
      * Deterministic stream generator: an Rng seeded purely by

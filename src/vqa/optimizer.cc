@@ -98,110 +98,6 @@ Spsa::minimize(const Objective &f, std::vector<double> x0, int max_iter,
     return result;
 }
 
-NelderMead::NelderMead(Config config) : config_(config)
-{
-}
-
-OptResult
-NelderMead::minimize(const Objective &f, std::vector<double> x0,
-                     int max_iter, const IterCallback &cb)
-{
-    const std::size_t dim = x0.size();
-    if (dim == 0)
-        panic("NelderMead::minimize: empty parameter vector");
-
-    // Initial simplex: x0 plus one vertex per axis.
-    std::vector<std::vector<double>> simplex;
-    std::vector<double> values;
-    simplex.push_back(x0);
-    values.push_back(f(x0));
-    for (std::size_t i = 0; i < dim; ++i) {
-        auto v = x0;
-        v[i] += config_.initialStep;
-        simplex.push_back(v);
-        values.push_back(f(simplex.back()));
-    }
-
-    OptResult result;
-    result.trace.reserve(max_iter);
-
-    auto order = [&]() {
-        // Selection sort is fine: simplex has dim+1 vertices.
-        for (std::size_t i = 0; i + 1 < simplex.size(); ++i) {
-            std::size_t best = i;
-            for (std::size_t j = i + 1; j < simplex.size(); ++j)
-                if (values[j] < values[best])
-                    best = j;
-            std::swap(values[i], values[best]);
-            std::swap(simplex[i], simplex[best]);
-        }
-    };
-
-    for (int k = 0; k < max_iter; ++k) {
-        order();
-
-        // Centroid of all but the worst vertex.
-        std::vector<double> centroid(dim, 0.0);
-        for (std::size_t v = 0; v + 1 < simplex.size(); ++v)
-            for (std::size_t i = 0; i < dim; ++i)
-                centroid[i] += simplex[v][i];
-        for (auto &c : centroid)
-            c /= static_cast<double>(dim);
-
-        const auto &worst = simplex.back();
-        auto blend = [&](double t) {
-            std::vector<double> p(dim);
-            for (std::size_t i = 0; i < dim; ++i)
-                p[i] = centroid[i] + t * (centroid[i] - worst[i]);
-            return p;
-        };
-
-        auto reflected = blend(config_.reflection);
-        const double f_r = f(reflected);
-        if (f_r < values[0]) {
-            auto expanded = blend(config_.expansion);
-            const double f_e = f(expanded);
-            if (f_e < f_r) {
-                simplex.back() = std::move(expanded);
-                values.back() = f_e;
-            } else {
-                simplex.back() = std::move(reflected);
-                values.back() = f_r;
-            }
-        } else if (f_r < values[values.size() - 2]) {
-            simplex.back() = std::move(reflected);
-            values.back() = f_r;
-        } else {
-            auto contracted = blend(-config_.contraction);
-            const double f_c = f(contracted);
-            if (f_c < values.back()) {
-                simplex.back() = std::move(contracted);
-                values.back() = f_c;
-            } else {
-                // Shrink toward the best vertex.
-                for (std::size_t v = 1; v < simplex.size(); ++v) {
-                    for (std::size_t i = 0; i < dim; ++i)
-                        simplex[v][i] = simplex[0][i] +
-                            config_.shrink *
-                                (simplex[v][i] - simplex[0][i]);
-                    values[v] = f(simplex[v]);
-                }
-            }
-        }
-
-        order();
-        result.trace.push_back(values[0]);
-        result.iterations = k + 1;
-        if (cb && !cb(k, simplex[0], values[0]))
-            break;
-    }
-
-    order();
-    result.bestParams = simplex[0];
-    result.bestValue = values[0];
-    return result;
-}
-
 ImplicitFiltering::ImplicitFiltering(Config config) : config_(config)
 {
 }

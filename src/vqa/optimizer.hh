@@ -102,37 +102,6 @@ class Spsa : public Optimizer
     Config config_;
 };
 
-/**
- * Nelder-Mead simplex search (derivative-free). Not used by the
- * paper, provided as an additional tuner for the optimizer
- * ablation; robust on smooth objectives, weaker under heavy shot
- * noise than SPSA.
- */
-class NelderMead : public Optimizer
-{
-  public:
-    /** Simplex hyperparameters (standard coefficients). */
-    struct Config
-    {
-        double initialStep = 0.3; //!< initial simplex edge length
-        double reflection = 1.0;
-        double expansion = 2.0;
-        double contraction = 0.5;
-        double shrink = 0.5;
-    };
-
-    NelderMead() : NelderMead(Config()) {}
-    explicit NelderMead(Config config);
-
-    OptResult minimize(const Objective &f, std::vector<double> x0,
-                       int max_iter, const IterCallback &cb) override;
-
-    std::string name() const override { return "nelder-mead"; }
-
-  private:
-    Config config_;
-};
-
 /** Implicit Filtering (the ImFil algorithm). */
 class ImplicitFiltering : public Optimizer
 {

@@ -158,6 +158,13 @@ TEST(Golden, VarsawMbmFig18)
 {
     // bench_fig18's stacked arm (LiH-6, trial 0) at 20 iterations;
     // the counters include the MBM calibration circuits.
+    //
+    // The constants were recorded when calibration moved onto
+    // content streams: Executor::execute() draws from
+    // jobStream(makeJobKey(job)), not from a generator the executor
+    // keeps across calls. The temporal scheduler reads the
+    // energies, so circuits and shots moved with the digest (11
+    // Global ticks instead of 6); the evaluation count stayed 49.
     const Hamiltonian h = molecule("LiH-6");
     EfficientSU2 ansatz(AnsatzConfig{6, 2, Entanglement::Full});
     NoisyExecutor exec = mumbai(302);
@@ -167,7 +174,8 @@ TEST(Golden, VarsawMbmFig18)
     config.mbm = MbmCalibration::calibrate(exec, h.numQubits(), 8192);
     VarsawEstimator est(h, ansatz.circuit(), exec, config);
     EXPECT_EQ(runVqe(est, exec, ansatz.initialParameters(71), 20, 0, 13),
-              (Golden{0xaa92d6abc9dae78a, 49, 2539, 5212160}));
+              (Golden{0x771a4b49f27f1aaf, 49, 2979, 6113280}));
+    EXPECT_EQ(est.scheduler().globalsRun(), 11u);
 }
 
 TEST(Golden, SelectiveCh4)

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "mitigation/executor.hh"
+#include "runtime/batch_executor.hh"
+
+#include "../worker_service.hh"
 
 namespace varsaw {
 namespace {
@@ -46,6 +51,48 @@ TEST(Executor, CountsCircuitsAndShots)
     exec.resetCounters();
     EXPECT_EQ(exec.circuitsExecuted(), 0u);
     EXPECT_EQ(exec.shotsExecuted(), 0u);
+}
+
+TEST(Executor, ExecuteMatchesTheRuntime)
+{
+    // execute() runs a job on its content stream, so it returns bit
+    // for bit what the batch runtime returns for the same job: a
+    // serial BatchExecutor with the result cache off or on, and a
+    // 2-worker ExecutionService session. The trajectory mode draws
+    // its noise from the stream too, so it is compared at 0 shots
+    // as well.
+    Circuit c(3, "ry-ghz");
+    c.ryParam(0, 0).cx(0, 1).cx(1, 2).h(2).measureAll();
+    const std::vector<double> params{0.37};
+    const DeviceModel device = DeviceModel::uniform(3, 0.02, 0.05);
+    std::vector<std::unique_ptr<Executor>> backends;
+    backends.push_back(std::make_unique<IdealExecutor>(5));
+    backends.push_back(std::make_unique<NoisyExecutor>(
+        device, GateNoiseMode::AnalyticDepolarizing, 5));
+    backends.push_back(std::make_unique<NoisyExecutor>(
+        device, GateNoiseMode::PauliTrajectories, 5, 16));
+
+    for (std::size_t b = 0; b < backends.size(); ++b) {
+        Executor &exec = *backends[b];
+        RuntimeConfig cache_off, cache_on, shared;
+        cache_on.cacheResults = true;
+        BatchExecutor serial_off(exec, cache_off);
+        BatchExecutor serial_on(exec, cache_on);
+        const auto service = workerService(exec, 2);
+        shared.service = service.get();
+        const auto session = makeSubmitter(exec, shared);
+        for (const std::uint64_t shots : {0, 1, 777, 2048}) {
+            SCOPED_TRACE("backend " + std::to_string(b) + ", shots " +
+                         std::to_string(shots));
+            Batch batch;
+            batch.add(c, params, shots);
+            const Pmf direct = exec.execute(c, params, shots);
+            EXPECT_EQ(direct, serial_off.run(batch).front());
+            EXPECT_EQ(direct, serial_on.run(batch).front());
+            EXPECT_EQ(direct, session->run(batch).front());
+            EXPECT_EQ(direct, exec.execute(c, params, shots));
+        }
+    }
 }
 
 TEST(NoisyExecutor, ZeroNoiseMatchesIdeal)

@@ -2,7 +2,8 @@
  * @file
  * Thread-safety regression tests for Executor: many threads
  * hammering one executor must account cost exactly and sample
- * deterministically per stream.
+ * deterministically per stream, through tryExecuteJob() and
+ * through execute().
  */
 
 #include <gtest/gtest.h>
@@ -28,9 +29,11 @@ TEST(ExecutorConcurrency, CountersExactUnderContention)
 {
     IdealExecutor exec(42);
     const Circuit circuit = bellCircuit();
+    const std::vector<double> params;
     constexpr int kThreads = 8;
     constexpr int kCallsPerThread = 200;
     constexpr std::uint64_t kShots = 32;
+    const JobView job{circuit, params, kShots, nullptr, std::nullopt};
 
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
@@ -39,7 +42,7 @@ TEST(ExecutorConcurrency, CountersExactUnderContention)
             for (int i = 0; i < kCallsPerThread; ++i) {
                 const std::uint64_t stream = static_cast<std::uint64_t>(
                     t * kCallsPerThread + i);
-                exec.executeJob(circuit, {}, kShots, stream);
+                exec.tryExecuteJob(job, stream).value();
             }
         });
     }
@@ -58,8 +61,10 @@ TEST(ExecutorConcurrency, SameStreamSameResultAcrossThreads)
     NoisyExecutor exec(DeviceModel::uniform(2, 0.02, 0.05),
                        GateNoiseMode::AnalyticDepolarizing, 7);
     const Circuit circuit = bellCircuit();
+    const std::vector<double> params;
+    const JobView job{circuit, params, 2048, nullptr, std::nullopt};
 
-    const Pmf reference = exec.executeJob(circuit, {}, 2048, 99);
+    const Pmf reference = exec.tryExecuteJob(job, 99).value();
 
     constexpr int kThreads = 6;
     std::vector<Pmf> results(kThreads);
@@ -67,7 +72,7 @@ TEST(ExecutorConcurrency, SameStreamSameResultAcrossThreads)
     for (int t = 0; t < kThreads; ++t)
         threads.emplace_back([&, t] {
             results[static_cast<std::size_t>(t)] =
-                exec.executeJob(circuit, {}, 2048, 99);
+                exec.tryExecuteJob(job, 99).value();
         });
     for (auto &thread : threads)
         thread.join();
@@ -80,29 +85,70 @@ TEST(ExecutorConcurrency, DistinctStreamsAreIndependent)
 {
     IdealExecutor exec(1);
     const Circuit circuit = bellCircuit();
-    const Pmf a = exec.executeJob(circuit, {}, 4096, 0);
-    const Pmf b = exec.executeJob(circuit, {}, 4096, 1);
+    const std::vector<double> params;
+    const JobView job{circuit, params, 4096, nullptr, std::nullopt};
+    const Pmf a = exec.tryExecuteJob(job, 0).value();
+    const Pmf b = exec.tryExecuteJob(job, 1).value();
     // Same distribution, different samples: at 4096 shots of a
     // fair Bell pair the two counts essentially never tie exactly.
     EXPECT_NE(a.prob(0b00), b.prob(0b00));
 }
 
-TEST(ExecutorConcurrency, SerialExecutePathUnaffectedByJobs)
+TEST(ExecutorConcurrency, ExecuteIsThreadSafe)
 {
-    // The legacy execute() stream must not be perturbed by
-    // interleaved executeJob() calls.
-    IdealExecutor a(5), b(5);
-    const Circuit circuit = bellCircuit();
+    // execute() samples each job's content stream, so concurrent
+    // calls on one executor share no sampling state: every call
+    // returns what a lone single-threaded call returns, and the
+    // cost counters stay exact.
+    NoisyExecutor exec(DeviceModel::uniform(3, 0.02, 0.05),
+                       GateNoiseMode::AnalyticDepolarizing, 11);
+    std::vector<Circuit> circuits;
+    for (int k = 0; k < 5; ++k) {
+        Circuit c(3);
+        c.ry(0, 0.3 * (k + 1)).cx(0, 1).cx(1, 2).measureAll();
+        circuits.push_back(std::move(c));
+    }
+    const std::vector<double> params;
+    const std::uint64_t shots[] = {0, 1, 777, 2048, 4096};
+    constexpr int kThreads = 8;
+    constexpr int kCallsPerThread = 50;
+    const auto jobOf = [](int t, int i) {
+        return static_cast<std::size_t>((t + i) % 5);
+    };
 
-    const Pmf first_a = a.execute(circuit, {}, 1024);
-    a.executeJob(circuit, {}, 1024, 7); // interleaved job on a only
-    const Pmf second_a = a.execute(circuit, {}, 1024);
+    std::vector<Pmf> reference;
+    for (std::size_t k = 0; k < circuits.size(); ++k)
+        reference.push_back(
+            exec.execute(circuits[k], params, shots[k]));
+    exec.resetCounters();
 
-    const Pmf first_b = b.execute(circuit, {}, 1024);
-    const Pmf second_b = b.execute(circuit, {}, 1024);
+    std::vector<std::vector<Pmf>> results(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            auto &mine = results[static_cast<std::size_t>(t)];
+            for (int i = 0; i < kCallsPerThread; ++i) {
+                const std::size_t k = jobOf(t, i);
+                mine.push_back(
+                    exec.execute(circuits[k], params, shots[k]));
+            }
+        });
+    for (auto &thread : threads)
+        thread.join();
 
-    EXPECT_EQ(first_a.prob(0b00), first_b.prob(0b00));
-    EXPECT_EQ(second_a.prob(0b00), second_b.prob(0b00));
+    std::uint64_t expected_shots = 0;
+    for (int t = 0; t < kThreads; ++t)
+        for (int i = 0; i < kCallsPerThread; ++i) {
+            const std::size_t k = jobOf(t, i);
+            expected_shots += shots[k];
+            EXPECT_EQ(results[static_cast<std::size_t>(t)]
+                             [static_cast<std::size_t>(i)],
+                      reference[k])
+                << "thread " << t << " call " << i;
+        }
+    EXPECT_EQ(exec.circuitsExecuted(),
+              static_cast<std::uint64_t>(kThreads * kCallsPerThread));
+    EXPECT_EQ(exec.shotsExecuted(), expected_shots);
 }
 
 } // namespace

@@ -1,14 +1,18 @@
 /**
  * @file
- * Tests for the JigSaw pipeline: circuit construction, cost
- * accounting, and end-to-end mitigation quality on a noisy device
- * (the mechanism behind Table 1).
+ * Tests for the JigSaw pipeline's circuits: Globals, CPMs and the
+ * suffix sets JigsawEstimator submits. Cost accounting and
+ * mitigation quality on a noisy device (the mechanism behind
+ * Table 1) are checked on JigsawEstimator itself, in
+ * tests/vqa/test_estimator.cc.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "mitigation/executor.hh"
 #include "mitigation/jigsaw.hh"
-#include "pauli/subsetting.hh"
 
 namespace varsaw {
 namespace {
@@ -55,107 +59,28 @@ TEST(JigsawCircuits, SubsetRotationsOnlyOnSupport)
     EXPECT_EQ(s.ops().size(), 6u);
 }
 
-TEST(RunSubset, PositionsMatchSupport)
+TEST(JigsawCircuits, SuffixesMeasureTheirWindows)
 {
+    // reconstructJigsaw places subset PMF w at windows[w].support(),
+    // so each CPM suffix must read exactly those qubits, in order.
+    const JigsawCircuitSet set =
+        makeJigsawSuffixes(PauliString::parse("ZXZY"), 2);
+    ASSERT_EQ(set.subsetCircuits.size(), set.windows.size());
+    for (std::size_t w = 0; w < set.windows.size(); ++w)
+        EXPECT_EQ(set.subsetCircuits[w].measuredQubits(),
+                  set.windows[w].support());
+    EXPECT_EQ(set.globalCircuit.numMeasured(), 4);
+
+    // Over a GHZ prep, the "--ZZ" window reads qubits 2 and 3,
+    // which are perfectly correlated.
     IdealExecutor exec;
-    LocalPmf local = runSubset(exec, ghzPrep(4), {},
-                               PauliString::parse("--ZZ"), 0);
-    EXPECT_EQ(local.positions, (std::vector<int>{2, 3}));
-    // GHZ: qubits 2,3 perfectly correlated.
-    EXPECT_NEAR(local.pmf.prob(0b00), 0.5, 1e-12);
-    EXPECT_NEAR(local.pmf.prob(0b11), 0.5, 1e-12);
-}
-
-TEST(JigsawMitigate, CircuitCostIsWindowsPlusGlobal)
-{
-    IdealExecutor exec;
-    JigsawConfig config;
-    config.subsetSize = 2;
-    const auto basis = PauliString::parse("ZZZZ");
-    jigsawMitigate(exec, ghzPrep(4), {}, basis, config);
-    const auto windows = windowSubsets(basis, 2);
-    EXPECT_EQ(exec.circuitsExecuted(), windows.size() + 1);
-}
-
-TEST(JigsawMitigate, NoNoiseRecoversIdealDistribution)
-{
-    IdealExecutor exec;
-    JigsawConfig config;
-    config.globalShots = 0; // exact
-    config.subsetShots = 0;
-    Pmf out = jigsawMitigate(exec, ghzPrep(3), {},
-                             PauliString::parse("ZZZ"), config);
-    EXPECT_NEAR(out.prob(0b000), 0.5, 1e-9);
-    EXPECT_NEAR(out.prob(0b111), 0.5, 1e-9);
-}
-
-TEST(JigsawMitigate, ImprovesFidelityUnderReadoutNoise)
-{
-    // The headline JigSaw claim (Section 2.5 / Table 1): mitigated
-    // output is closer to ideal than the raw noisy global.
-    DeviceModel device =
-        DeviceModel::uniform(4, 0.04, 0.08, 0.06);
-    NoisyExecutor exec(device);
-    JigsawConfig config;
-    config.globalShots = 0;
-    config.subsetShots = 0;
-
-    const auto basis = PauliString::parse("ZZZZ");
-    Circuit prep = ghzPrep(4);
-
-    Pmf noisy_global = exec.execute(
-        makeGlobalCircuit(prep, basis), {}, 0);
-    Pmf mitigated = jigsawMitigate(exec, prep, {}, basis, config);
-
-    Pmf ideal(4);
-    ideal.set(0b0000, 0.5);
-    ideal.set(0b1111, 0.5);
-
-    EXPECT_GT(Pmf::fidelity(mitigated, ideal),
-              Pmf::fidelity(noisy_global, ideal));
-}
-
-TEST(JigsawMitigate, ImprovementHoldsWithFiniteShots)
-{
-    DeviceModel device =
-        DeviceModel::uniform(4, 0.04, 0.08, 0.06);
-    NoisyExecutor exec(device, GateNoiseMode::AnalyticDepolarizing,
-                       555);
-    JigsawConfig config;
-    config.globalShots = 8192;
-    config.subsetShots = 8192;
-
-    const auto basis = PauliString::parse("ZZZZ");
-    Circuit prep = ghzPrep(4);
-
-    Pmf noisy_global = exec.execute(
-        makeGlobalCircuit(prep, basis), {}, 8192);
-    Pmf mitigated = jigsawMitigate(exec, prep, {}, basis, config);
-
-    Pmf ideal(4);
-    ideal.set(0b0000, 0.5);
-    ideal.set(0b1111, 0.5);
-
-    EXPECT_GT(Pmf::fidelity(mitigated, ideal),
-              Pmf::fidelity(noisy_global, ideal));
-}
-
-TEST(JigsawMitigate, SubsetSizeThreeAlsoImproves)
-{
-    DeviceModel device = DeviceModel::uniform(4, 0.03, 0.06, 0.05);
-    NoisyExecutor exec(device);
-    JigsawConfig config;
-    config.subsetSize = 3;
-    config.globalShots = 0;
-    config.subsetShots = 0;
-    const auto basis = PauliString::parse("ZZZZ");
-    Circuit prep = ghzPrep(4);
-    Pmf noisy = exec.execute(makeGlobalCircuit(prep, basis), {}, 0);
-    Pmf out = jigsawMitigate(exec, prep, {}, basis, config);
-    Pmf ideal(4);
-    ideal.set(0b0000, 0.5);
-    ideal.set(0b1111, 0.5);
-    EXPECT_GT(Pmf::fidelity(out, ideal), Pmf::fidelity(noisy, ideal));
+    const CircuitJob job{makeSubsetSuffix(PauliString::parse("--ZZ")),
+                         {}, 0,
+                         std::make_shared<const Circuit>(ghzPrep(4))};
+    EXPECT_EQ(job.measuredQubits(), (std::vector<int>{2, 3}));
+    const Pmf pmf = exec.tryExecuteJob(job.view(), 0).value();
+    EXPECT_NEAR(pmf.prob(0b00), 0.5, 1e-12);
+    EXPECT_NEAR(pmf.prob(0b11), 0.5, 1e-12);
 }
 
 } // namespace

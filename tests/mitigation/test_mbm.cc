@@ -29,6 +29,25 @@ TEST(Mbm, CalibrationCountsTwoCircuits)
     EXPECT_EQ(exec.circuitsExecuted(), 2u);
 }
 
+TEST(MbmCalibration, RepeatsOnOneExecutor)
+{
+    // Calibration samples each circuit's content stream, so what
+    // an executor ran before cannot move it: a second calibration
+    // on the same executor reads the same errors, bit for bit.
+    DeviceModel device = DeviceModel::uniform(3, 0.04, 0.09, 0.05);
+    NoisyExecutor exec(device, GateNoiseMode::AnalyticDepolarizing,
+                       42);
+    const MbmCalibration first =
+        MbmCalibration::calibrate(exec, 3, 8192);
+    const MbmCalibration second =
+        MbmCalibration::calibrate(exec, 3, 8192);
+    ASSERT_EQ(second.errors().size(), first.errors().size());
+    for (std::size_t q = 0; q < first.errors().size(); ++q) {
+        EXPECT_EQ(second.errors()[q].p01, first.errors()[q].p01);
+        EXPECT_EQ(second.errors()[q].p10, first.errors()[q].p10);
+    }
+}
+
 TEST(Mbm, CalibrationIncludesCrosstalk)
 {
     // Full-register calibration sees crosstalk-amplified errors.

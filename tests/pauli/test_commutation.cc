@@ -131,8 +131,9 @@ TEST(CommutationFamily, FullWeightStringsHaveNoParents)
         2, {PauliOp::I, PauliOp::X, PauliOp::Y, PauliOp::Z});
     ASSERT_EQ(family.size(), 16u);
     for (const auto &p : family)
-        if (p.weight() == 2)
+        if (p.weight() == 2) {
             EXPECT_EQ(countCoveringParents(p, family), 0);
+        }
 }
 
 TEST(CommutationFamily, ParentCountFormula)

@@ -112,8 +112,9 @@ TEST(PauliString, CoveringImpliesQwc)
             a.setOp(q, static_cast<PauliOp>(rng.uniformInt(4)));
             b.setOp(q, static_cast<PauliOp>(rng.uniformInt(4)));
         }
-        if (a.coveredBy(b))
+        if (a.coveredBy(b)) {
             EXPECT_TRUE(a.qwcCompatible(b));
+        }
     }
 }
 
@@ -165,8 +166,9 @@ TEST(PauliString, QwcImpliesTrueCommutation)
             a.setOp(q, static_cast<PauliOp>(rng.uniformInt(4)));
             b.setOp(q, static_cast<PauliOp>(rng.uniformInt(4)));
         }
-        if (a.qwcCompatible(b))
+        if (a.qwcCompatible(b)) {
             EXPECT_TRUE(a.commutesWith(b));
+        }
     }
 }
 

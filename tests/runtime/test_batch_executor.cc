@@ -450,7 +450,7 @@ TEST(JobIdentity, AdmissionKeysMatchReferenceOnEstimatorBatches)
         ASSERT_EQ(ids.size(), batch.size());
         for (std::size_t i = 0; i < batch.size(); ++i) {
             const CircuitJob &job = batch.jobs()[i];
-            EXPECT_TRUE(ids[i].key == makeJobKey(job));
+            EXPECT_TRUE(ids[i].key == makeJobKey(job.view()));
             EXPECT_TRUE(prepKeyFor(job, ids[i]) ==
                         prepKeyOf(job.prep.get(), job.circuit,
                                   job.params));

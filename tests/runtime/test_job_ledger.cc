@@ -34,6 +34,13 @@ tfimJob(double theta, std::uint64_t shots)
     return {c, {}, shots, nullptr};
 }
 
+/** The content key of @p job. */
+JobKey
+keyOf(const CircuitJob &job)
+{
+    return makeJobKey(job.view());
+}
+
 /** Claim @p key and, if primary, publish a placeholder result. */
 JobLedger::Claim
 claimAndStore(JobLedger &ledger, const JobKey &key)
@@ -49,7 +56,7 @@ TEST(JobLedger, MissThenHit)
     IdealExecutor exec(1);
     JobLedger ledger(8);
     const CircuitJob job = tfimJob(0.3, 1024);
-    const JobKey key = makeJobKey(job);
+    const JobKey key = keyOf(job);
 
     auto primary = ledger.claim(key, job.shots);
     ASSERT_FALSE(primary.duplicate());
@@ -74,26 +81,26 @@ TEST(JobLedger, MissThenHit)
 TEST(JobLedger, DistinctParamsAndShotsNeverCollide)
 {
     JobLedger ledger(8);
-    claimAndStore(ledger, makeJobKey(tfimJob(0.3, 1024)));
+    claimAndStore(ledger, keyOf(tfimJob(0.3, 1024)));
 
     // Different angle, different shot count, and a different circuit
     // must all be fresh primaries.
     EXPECT_FALSE(
-        claimAndStore(ledger, makeJobKey(tfimJob(0.31, 1024)))
+        claimAndStore(ledger, keyOf(tfimJob(0.31, 1024)))
             .duplicate());
     EXPECT_FALSE(
-        claimAndStore(ledger, makeJobKey(tfimJob(0.3, 2048)))
+        claimAndStore(ledger, keyOf(tfimJob(0.3, 2048)))
             .duplicate());
     Circuit other(2);
     other.ry(0, 0.3).cx(1, 0).measureAll();
     EXPECT_FALSE(
         claimAndStore(ledger,
-                      makeJobKey(CircuitJob{other, {}, 1024, nullptr}))
+                      keyOf(CircuitJob{other, {}, 1024, nullptr}))
             .duplicate());
 
     // The original still hits.
     EXPECT_TRUE(
-        ledger.claim(makeJobKey(tfimJob(0.3, 1024)), 1024).duplicate());
+        ledger.claim(keyOf(tfimJob(0.3, 1024)), 1024).duplicate());
 }
 
 TEST(JobLedger, SymbolicParamsKeyedByValues)
@@ -101,21 +108,21 @@ TEST(JobLedger, SymbolicParamsKeyedByValues)
     Circuit c(1);
     c.ryParam(0, 0).measureAll();
     JobLedger ledger(8);
-    claimAndStore(ledger, makeJobKey(CircuitJob{c, {0.5}, 64, nullptr}));
+    claimAndStore(ledger, keyOf(CircuitJob{c, {0.5}, 64, nullptr}));
     EXPECT_TRUE(
-        ledger.claim(makeJobKey(CircuitJob{c, {0.5}, 64, nullptr}), 64)
+        ledger.claim(keyOf(CircuitJob{c, {0.5}, 64, nullptr}), 64)
             .duplicate());
     EXPECT_FALSE(
-        ledger.claim(makeJobKey(CircuitJob{c, {0.6}, 64, nullptr}), 64)
+        ledger.claim(keyOf(CircuitJob{c, {0.6}, 64, nullptr}), 64)
             .duplicate());
 }
 
 TEST(JobLedger, LruEvictionRespectsCap)
 {
     JobLedger ledger(2);
-    const JobKey k1 = makeJobKey(tfimJob(0.1, 1));
-    const JobKey k2 = makeJobKey(tfimJob(0.2, 1));
-    const JobKey k3 = makeJobKey(tfimJob(0.3, 1));
+    const JobKey k1 = keyOf(tfimJob(0.1, 1));
+    const JobKey k2 = keyOf(tfimJob(0.2, 1));
+    const JobKey k3 = keyOf(tfimJob(0.3, 1));
     claimAndStore(ledger, k1);
     claimAndStore(ledger, k2);
     claimAndStore(ledger, k3);
@@ -164,7 +171,7 @@ TEST(JobLedger, LruEvictsColdKeysKeepsHotOnes)
 TEST(JobLedger, ClearDropsEntriesKeepsStats)
 {
     JobLedger ledger(8);
-    const JobKey key = makeJobKey(tfimJob(0.3, 8));
+    const JobKey key = keyOf(tfimJob(0.3, 8));
     claimAndStore(ledger, key);
     EXPECT_TRUE(ledger.claim(key, 8).duplicate());
     ledger.clear();
@@ -191,10 +198,10 @@ TEST(JobLedger, ResidentResultsEqualInsertionsMinusEvictions)
     auto execute = [&](const CircuitJob &job,
                        const JobLedger::Claim &claim) {
         return ledger.executeAndPublish(exec, job.view(),
-                                        makeJobKey(job), claim.publish);
+                                        keyOf(job), claim.publish);
     };
     auto claim = [&ledger](const CircuitJob &job) {
-        return ledger.claim(makeJobKey(job), job.shots);
+        return ledger.claim(keyOf(job), job.shots);
     };
     const CircuitJob a = tfimJob(0.1, 32), b = tfimJob(0.2, 32),
                      c = tfimJob(0.3, 32), d = tfimJob(0.4, 32),
@@ -221,7 +228,7 @@ TEST(JobLedger, ResidentResultsEqualInsertionsMinusEvictions)
     EXPECT_EQ(resident(), 0u);
 
     // Abandoned claim: dropped without a result.
-    ledger.abandon(makeJobKey(e), e_claim.publish,
+    ledger.abandon(keyOf(e), e_claim.publish,
                    resourceExhaustedError("shed"));
     EXPECT_EQ(ledger.stats().abandoned, 1u);
     execute(f, f_claim);

@@ -975,14 +975,19 @@ TEST(BatchExecutor, HotResultsSurviveTheCacheBoundary)
         c.ry(0, theta).measureAll();
         return c;
     };
+    auto oneJob = [](const Circuit &circuit) {
+        Batch batch;
+        batch.add(circuit, {}, 256);
+        return batch;
+    };
 
-    const Pmf first = runtime.runOne(hot, {}, 256);
+    const Pmf first = runtime.run(oneJob(hot)).front();
     std::uint64_t executed = exec.circuitsExecuted();
     for (int i = 0; i < 12; ++i) {
         // Interleave: hot key re-claimed, then a cold one-shot key.
-        const Pmf again = runtime.runOne(hot, {}, 256);
+        const Pmf again = runtime.run(oneJob(hot)).front();
         EXPECT_EQ(first, again);
-        runtime.runOne(coldCircuit(0.1 * (i + 1)), {}, 256);
+        runtime.run(oneJob(coldCircuit(0.1 * (i + 1))));
     }
     // The hot key never re-executed: 12 cold executions only.
     EXPECT_EQ(exec.circuitsExecuted(), executed + 12);

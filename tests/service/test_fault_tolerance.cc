@@ -333,8 +333,8 @@ TEST(FaultTolerance, ExhaustedRetriesQuarantineThePoisonKey)
         EXPECT_EQ(e.code(), StatusCode::Unavailable);
     }
     EXPECT_EQ(service.stats().quarantinedKeys, 1u);
-    EXPECT_TRUE(
-        service.ledger().isQuarantined(makeJobKey(batch.jobs()[0])));
+    EXPECT_TRUE(service.ledger().isQuarantined(
+        makeJobKey(batch.jobs()[0].view())));
     EXPECT_EQ(exec.circuitsExecuted(), 0u);
 
     // Resubmission fast-fails with FailedPrecondition WITHOUT

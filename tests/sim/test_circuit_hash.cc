@@ -83,9 +83,9 @@ TEST(JobKey, DistinctShotsDistinctKeys)
     CircuitJob a{sampleCircuit(), {0.3}, 1024, nullptr};
     CircuitJob b{sampleCircuit(), {0.3}, 2048, nullptr};
     CircuitJob c{sampleCircuit(), {0.4}, 1024, nullptr};
-    EXPECT_TRUE(makeJobKey(a) == makeJobKey(a));
-    EXPECT_FALSE(makeJobKey(a) == makeJobKey(b));
-    EXPECT_FALSE(makeJobKey(a) == makeJobKey(c));
+    EXPECT_TRUE(makeJobKey(a.view()) == makeJobKey(a.view()));
+    EXPECT_FALSE(makeJobKey(a.view()) == makeJobKey(b.view()));
+    EXPECT_FALSE(makeJobKey(a.view()) == makeJobKey(c.view()));
 }
 
 /**
@@ -99,7 +99,8 @@ expectReferenceIdentities(const std::vector<CircuitJob> &jobs)
     ASSERT_EQ(ids.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const CircuitJob &job = jobs[i];
-        EXPECT_TRUE(ids[i].key == makeJobKey(job)) << "job " << i;
+        EXPECT_TRUE(ids[i].key == makeJobKey(job.view()))
+            << "job " << i;
         EXPECT_EQ(ids[i].prep.has_value(), job.prep != nullptr)
             << "job " << i;
         EXPECT_TRUE(prepKeyFor(job, ids[i]) ==

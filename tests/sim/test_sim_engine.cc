@@ -234,10 +234,10 @@ TEST(JobKey, PrefixedJobKeyMatchesFlattenedCircuit)
     CircuitJob plain{makeGlobalCircuit(ansatz, basis), params, 2048,
                      nullptr};
 
-    EXPECT_EQ(jobCircuitHash(prefixed),
+    EXPECT_EQ(jobCircuitHash(prefixed.view()),
               circuitStructuralHash(plain.circuit));
-    const JobKey a = makeJobKey(prefixed);
-    const JobKey b = makeJobKey(plain);
+    const JobKey a = makeJobKey(prefixed.view());
+    const JobKey b = makeJobKey(plain.view());
     EXPECT_TRUE(a == b);
 
     // flattened() reconstructs the plain circuit exactly.
@@ -261,12 +261,12 @@ TEST(ExecutorJob, PrefixedAndPlainJobsBitIdentical)
                            GateNoiseMode::AnalyticDepolarizing, 7);
         exec.simEngine().setCacheEnabled(cache_on);
 
-        const Pmf plain = exec.executeJob(
-            makeGlobalCircuit(ansatz, basis), params, 4096, 3);
-        const Pmf prefixed = exec.executeJob(
-            CircuitJob{makeGlobalSuffix(basis), params, 4096, prep},
-            3);
-        EXPECT_EQ(plain, prefixed);
+        const CircuitJob plain{makeGlobalCircuit(ansatz, basis),
+                               params, 4096, nullptr};
+        const CircuitJob prefixed{makeGlobalSuffix(basis), params,
+                                  4096, prep};
+        EXPECT_EQ(exec.tryExecuteJob(plain.view(), 3).value(),
+                  exec.tryExecuteJob(prefixed.view(), 3).value());
     }
 }
 
@@ -280,11 +280,12 @@ TEST(ExecutorJob, TrajectoryModeHandlesPrefixedJobs)
 
     NoisyExecutor exec(DeviceModel::uniform(qubits, 0.02, 0.05),
                        GateNoiseMode::PauliTrajectories, 13, 16);
-    const Pmf plain = exec.executeJob(
-        makeGlobalCircuit(ansatz, basis), params, 0, 9);
-    const Pmf prefixed = exec.executeJob(
-        CircuitJob{makeGlobalSuffix(basis), params, 0, prep}, 9);
-    EXPECT_EQ(plain, prefixed);
+    const CircuitJob plain{makeGlobalCircuit(ansatz, basis), params,
+                           0, nullptr};
+    const CircuitJob prefixed{makeGlobalSuffix(basis), params, 0,
+                              prep};
+    EXPECT_EQ(exec.tryExecuteJob(plain.view(), 9).value(),
+              exec.tryExecuteJob(prefixed.view(), 9).value());
 }
 
 TEST(SimEngine, PrepWithTrailingBasisGatesSharesKeyAndMatches)

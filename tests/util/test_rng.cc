@@ -127,29 +127,5 @@ TEST(Rng, RademacherBalanced)
     EXPECT_NEAR(static_cast<double>(plus) / n, 0.5, 0.01);
 }
 
-TEST(Rng, DiscreteRespectsWeights)
-{
-    Rng rng(29);
-    std::vector<double> weights = {1.0, 0.0, 3.0};
-    int counts[3] = {0, 0, 0};
-    const int n = 40000;
-    for (int i = 0; i < n; ++i)
-        ++counts[rng.discrete(weights)];
-    EXPECT_EQ(counts[1], 0);
-    EXPECT_NEAR(static_cast<double>(counts[0]) / n, 0.25, 0.02);
-    EXPECT_NEAR(static_cast<double>(counts[2]) / n, 0.75, 0.02);
-}
-
-TEST(Rng, SplitStreamsIndependent)
-{
-    Rng parent(31);
-    Rng child = parent.split();
-    int same = 0;
-    for (int i = 0; i < 100; ++i)
-        if (parent.next() == child.next())
-            ++same;
-    EXPECT_LT(same, 3);
-}
-
 } // namespace
 } // namespace varsaw

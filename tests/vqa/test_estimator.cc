@@ -9,6 +9,7 @@
 
 #include "chem/molecules.hh"
 #include "chem/spin_models.hh"
+#include "pauli/subsetting.hh"
 #include "util/statistics.hh"
 #include "vqa/ansatz.hh"
 #include "vqa/estimator.hh"
@@ -151,27 +152,59 @@ TEST(JigsawEstimator, CostsMoreThanBaseline)
     EXPECT_GT(exec_j.circuitsExecuted(), exec_b.circuitsExecuted());
 }
 
+TEST(JigsawEstimator, CircuitCostIsWindowsPlusGlobal)
+{
+    // Every estimate runs each basis's sliding windows plus its
+    // Global: sum over bases b of (windows_b + 1) circuits.
+    Fixture f;
+    IdealExecutor exec;
+    JigsawConfig config;
+    config.subsetSize = 2;
+    JigsawEstimator jigsaw(f.h, f.ansatz.circuit(), exec, config);
+    std::uint64_t per_estimate = 0;
+    for (const auto &basis : jigsaw.reduction().bases)
+        per_estimate +=
+            windowSubsets(basis, config.subsetSize).size() + 1;
+    jigsaw.estimate(f.params);
+    EXPECT_EQ(exec.circuitsExecuted(), per_estimate);
+    jigsaw.estimate(f.params);
+    EXPECT_EQ(exec.circuitsExecuted(), 2 * per_estimate);
+}
+
 TEST(JigsawEstimator, MitigatesReadoutNoiseOnEnergy)
 {
     // Energy estimated with JigSaw should sit closer to the exact
-    // value than the unmitigated baseline under readout noise.
+    // value than the unmitigated baseline under readout noise: with
+    // exact distributions, at 8192 shots, and with 3-qubit windows.
     Fixture f;
     ExactEstimator exact(f.h, f.ansatz.circuit());
     const double truth = exact.estimate(f.params);
 
     DeviceModel device = DeviceModel::uniform(4, 0.05, 0.1, 0.08);
-    NoisyExecutor exec_b(device), exec_j(device);
-    BaselineEstimator baseline(f.h, f.ansatz.circuit(), exec_b, 0);
-    JigsawConfig config;
-    config.globalShots = 0;
-    config.subsetShots = 0;
-    JigsawEstimator jigsaw(f.h, f.ansatz.circuit(), exec_j, config);
+    struct Case
+    {
+        std::uint64_t shots;
+        int subsetSize;
+    };
+    for (const Case c : {Case{0, 2}, Case{8192, 2}, Case{0, 3}}) {
+        SCOPED_TRACE("shots " + std::to_string(c.shots) +
+                     ", subset size " + std::to_string(c.subsetSize));
+        NoisyExecutor exec_b(device), exec_j(device);
+        BaselineEstimator baseline(f.h, f.ansatz.circuit(), exec_b,
+                                   c.shots);
+        JigsawConfig config;
+        config.subsetSize = c.subsetSize;
+        config.globalShots = c.shots;
+        config.subsetShots = c.shots;
+        JigsawEstimator jigsaw(f.h, f.ansatz.circuit(), exec_j,
+                               config);
 
-    const double err_base =
-        std::abs(baseline.estimate(f.params) - truth);
-    const double err_jig =
-        std::abs(jigsaw.estimate(f.params) - truth);
-    EXPECT_LT(err_jig, err_base);
+        const double err_base =
+            std::abs(baseline.estimate(f.params) - truth);
+        const double err_jig =
+            std::abs(jigsaw.estimate(f.params) - truth);
+        EXPECT_LT(err_jig, err_base);
+    }
 }
 
 TEST(BaselineEstimator, CoefficientWeightedShotsPreserveBudget)

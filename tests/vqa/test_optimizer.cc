@@ -171,51 +171,10 @@ TEST(ImplicitFiltering, CallbackStopsEarly)
     EXPECT_EQ(res.iterations, 5);
 }
 
-TEST(NelderMead, ConvergesOnQuadratic)
-{
-    NelderMead nm;
-    OptResult res = nm.minimize(quadratic, {0, 0, 0}, 400, {});
-    EXPECT_LT(res.bestValue, 1e-4);
-}
-
-TEST(NelderMead, ConvergesOnRosenbrock)
-{
-    Objective rosenbrock = [](const std::vector<double> &x) {
-        const double a = 1.0 - x[0];
-        const double b = x[1] - x[0] * x[0];
-        return a * a + 100.0 * b * b;
-    };
-    NelderMead nm;
-    OptResult res = nm.minimize(rosenbrock, {-1.0, 1.0}, 2000, {});
-    EXPECT_LT(res.bestValue, 1e-3);
-    EXPECT_NEAR(res.bestParams[0], 1.0, 0.05);
-    EXPECT_NEAR(res.bestParams[1], 1.0, 0.1);
-}
-
-TEST(NelderMead, TraceIsNonIncreasing)
-{
-    NelderMead nm;
-    OptResult res = nm.minimize(quadratic, {2, -3}, 100, {});
-    for (std::size_t i = 1; i < res.trace.size(); ++i)
-        EXPECT_LE(res.trace[i], res.trace[i - 1] + 1e-12);
-}
-
-TEST(NelderMead, CallbackStopsEarly)
-{
-    NelderMead nm;
-    OptResult res = nm.minimize(
-        quadratic, {0, 0}, 1000,
-        [](int iter, const std::vector<double> &, double) {
-            return iter < 6;
-        });
-    EXPECT_EQ(res.iterations, 7);
-}
-
 TEST(Optimizer, Names)
 {
     EXPECT_EQ(Spsa().name(), "spsa");
     EXPECT_EQ(ImplicitFiltering().name(), "imfil");
-    EXPECT_EQ(NelderMead().name(), "nelder-mead");
 }
 
 /** Property sweep: SPSA improves from random starts. */

@@ -183,7 +183,8 @@ parseManifest(const std::string &path)
                 if (!std::getline(in, more))
                     fail(path, startLine, "unterminated array");
                 ++lineNo;
-                value += " " + trim(stripComment(more));
+                value += ' ';
+                value += trim(stripComment(more));
             }
             const std::size_t close = value.find(']');
             if (!trim(value.substr(close + 1)).empty())

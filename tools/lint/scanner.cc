@@ -60,8 +60,9 @@ stripSource(const std::string &src)
                 std::size_t open = src.find('(', i + 2);
                 if (open == std::string::npos)
                     break;
-                rawDelim =
-                    ")" + src.substr(i + 2, open - (i + 2)) + "\"";
+                rawDelim.assign(1, ')');
+                rawDelim.append(src, i + 2, open - (i + 2));
+                rawDelim += '"';
                 st = St::Raw;
                 i = open; // keep prefix; contents blanked below
             } else if (c == '"') {
