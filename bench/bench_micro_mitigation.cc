@@ -11,14 +11,21 @@
  * the *_H6-10 cases instead replay VarSaw's per-evaluation
  * post-processing on the real H6-10 plan (809 bases, 5848 windows)
  * with priors and locals from one noisy 512-shot tick, the shape of
- * the wide_postprocess workload.
+ * the wide_postprocess workload; the *_CH4-6 cases do the same on
+ * CH4-6 (66 bases) at 2048 shots, the shape of ch4_vqe.
+ * reconstructAll_* calls bayesianReconstruct once per basis;
+ * reconstructAllBatched_* makes the one bayesianReconstructAll call
+ * VarsawEstimator makes, which the AVX-512 tier runs eight bases
+ * at a time.
  *
  * Knobs: VARSAW_BENCH_REPS (default 20 timing repetitions; the
  * fastest cases run 10x that), plus the standard --cache-bytes /
- * --kernel-threads flags.
+ * --kernel-threads flags. VARSAW_BENCH_CHECK=1 exits non-zero unless
+ * the batched results equal the per-basis ones bit for bit.
  */
 
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -30,6 +37,7 @@
 #include "mitigation/jigsaw.hh"
 #include "noise/device_model.hh"
 #include "pauli/subsetting.hh"
+#include "sim/kernels/kernels.hh"
 #include "sim/statevector.hh"
 #include "util/csv.hh"
 #include "util/rng.hh"
@@ -46,6 +54,59 @@ struct Case
     int reps;
     std::function<void()> run; //!< one timed invocation
 };
+
+/** Every basis's prior and locals for one VarSaw tick. */
+struct PlanTick
+{
+    std::vector<Pmf> priors;
+    std::vector<std::vector<LocalPmf>> locals;
+};
+
+/** One noisy tick on @p plan: every executed subset and every
+ * basis's Global at @p shots, then each basis's locals answered from
+ * the shared subset results, as VarsawEstimator does. */
+PlanTick
+noisyTick(const SpatialPlan &plan, const EfficientSU2 &ansatz,
+          const std::vector<double> &params, std::uint64_t shots)
+{
+    NoisyExecutor exec(DeviceModel::mumbai(),
+                       GateNoiseMode::AnalyticDepolarizing, 5);
+    std::vector<Pmf> subsets;
+    for (const auto &subset : plan.executedSubsets)
+        subsets.push_back(exec.execute(
+            makeSubsetCircuit(ansatz.circuit(), subset), params, shots));
+    PlanTick tick;
+    for (const auto &basis : plan.bases.bases)
+        tick.priors.push_back(exec.execute(
+            makeGlobalCircuit(ansatz.circuit(), basis), params, shots));
+    tick.locals.resize(tick.priors.size());
+    for (std::size_t b = 0; b < tick.priors.size(); ++b)
+        for (const auto &binding : plan.basisWindows[b])
+            tick.locals[b].push_back(
+                {binding.globalPositions,
+                 subsets[binding.coverIndex].marginal(
+                     binding.marginalPositions)});
+    return tick;
+}
+
+/** Whether @p a and @p b hold the same PMFs down to the bits of
+ * every probability (±0.0 and NaN payloads included). */
+bool
+sameBits(const std::vector<Pmf> &a, const std::vector<Pmf> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const auto &x = a[i].entries();
+        const auto &y = b[i].entries();
+        if (a[i].numBits() != b[i].numBits() || x.size() != y.size() ||
+            (!x.empty() &&
+             std::memcmp(x.data(), y.data(),
+                         x.size() * sizeof(Pmf::Entry)) != 0))
+            return false;
+    }
+    return true;
+}
 
 } // namespace
 
@@ -94,38 +155,39 @@ main(int argc, char **argv)
     noisy_circuit.append(noisy_ansatz.circuit());
     noisy_circuit.measureAll();
 
-    // One noisy H6-10 tick: every executed subset and every basis's
-    // Global at 512 shots, then each basis's locals answered from the
-    // shared subset results, as VarsawEstimator does.
     const SpatialPlan h6_plan = buildSpatialPlan(h6, 2);
     EfficientSU2 h6_ansatz(AnsatzConfig{10, 2, Entanglement::Linear});
-    const auto h6_params = h6_ansatz.initialParameters(5);
-    NoisyExecutor h6_exec(DeviceModel::mumbai(),
-                          GateNoiseMode::AnalyticDepolarizing, 5);
-    std::vector<Pmf> h6_subsets;
-    for (const auto &subset : h6_plan.executedSubsets)
-        h6_subsets.push_back(h6_exec.execute(
-            makeSubsetCircuit(h6_ansatz.circuit(), subset), h6_params,
-            512));
-    std::vector<Pmf> h6_priors;
-    for (const auto &basis : h6_plan.bases.bases)
-        h6_priors.push_back(h6_exec.execute(
-            makeGlobalCircuit(h6_ansatz.circuit(), basis), h6_params,
-            512));
-    std::vector<std::vector<LocalPmf>> h6_locals(h6_priors.size());
-    for (std::size_t b = 0; b < h6_priors.size(); ++b)
-        for (const auto &binding : h6_plan.basisWindows[b])
-            h6_locals[b].push_back(
-                {binding.globalPositions,
-                 h6_subsets[binding.coverIndex].marginal(
-                     binding.marginalPositions)});
-    std::vector<Pmf> h6_mitigated(h6_priors.size());
-    auto reconstruct_h6 = [&] {
-        for (std::size_t b = 0; b < h6_priors.size(); ++b)
-            h6_mitigated[b] =
-                bayesianReconstruct(h6_priors[b], h6_locals[b], 1);
+    const PlanTick h6_tick = noisyTick(
+        h6_plan, h6_ansatz, h6_ansatz.initialParameters(5), 512);
+    const SpatialPlan ch4_6_plan =
+        buildSpatialPlan(molecule("CH4-6"), 2);
+    EfficientSU2 ch4_6_ansatz(AnsatzConfig{6, 2, Entanglement::Full});
+    const PlanTick ch4_6_tick =
+        noisyTick(ch4_6_plan, ch4_6_ansatz,
+                  ch4_6_ansatz.initialParameters(5), 2048);
+
+    const auto per_basis = [](const PlanTick &tick,
+                              std::vector<Pmf> &out) {
+        out.resize(tick.priors.size());
+        for (std::size_t b = 0; b < tick.priors.size(); ++b)
+            out[b] = bayesianReconstruct(tick.priors[b],
+                                         tick.locals[b], 1);
     };
-    reconstruct_h6();
+    const auto batched = [](const PlanTick &tick,
+                            std::vector<Pmf> &out) {
+        out = bayesianReconstructAll(tick.priors, tick.locals, 1);
+    };
+    std::vector<Pmf> h6_mitigated;
+    std::vector<Pmf> h6_batched;
+    std::vector<Pmf> ch4_6_mitigated;
+    std::vector<Pmf> ch4_6_batched;
+    per_basis(h6_tick, h6_mitigated);
+    batched(h6_tick, h6_batched);
+    per_basis(ch4_6_tick, ch4_6_mitigated);
+    batched(ch4_6_tick, ch4_6_batched);
+    const bool batched_identical =
+        sameBits(h6_mitigated, h6_batched) &&
+        sameBits(ch4_6_mitigated, ch4_6_batched);
 
     std::vector<Case> cases;
     cases.push_back({"bayesianReconstruct_10q", reps, [&] {
@@ -134,8 +196,20 @@ main(int argc, char **argv)
                          (void)out.supportSize();
                      }});
     cases.push_back({"reconstructAll_H6-10", reps, [&] {
-                         reconstruct_h6();
+                         per_basis(h6_tick, h6_mitigated);
                          (void)h6_mitigated.back().supportSize();
+                     }});
+    cases.push_back({"reconstructAllBatched_H6-10", reps, [&] {
+                         batched(h6_tick, h6_batched);
+                         (void)h6_batched.back().supportSize();
+                     }});
+    cases.push_back({"reconstructAll_CH4-6", reps * 10, [&] {
+                         per_basis(ch4_6_tick, ch4_6_mitigated);
+                         (void)ch4_6_mitigated.back().supportSize();
+                     }});
+    cases.push_back({"reconstructAllBatched_CH4-6", reps * 10, [&] {
+                         batched(ch4_6_tick, ch4_6_batched);
+                         (void)ch4_6_batched.back().supportSize();
                      }});
     cases.push_back({"energyFromBasisPmfs_H6-10", reps, [&] {
                          const double e = energyFromBasisPmfs(
@@ -196,5 +270,18 @@ main(int argc, char **argv)
     }
     table.print();
     emitBenchSummary(summary);
+
+    // Compared before the timed loops, which recompute the same
+    // results; the tier is whatever --simd / VARSAW_SIMD installed.
+    std::printf("\nbayesianReconstructAll vs per-basis "
+                "bayesianReconstruct (H6-10, CH4-6, %s tier): %s\n",
+                kern::simdTierName(kern::activeSimdTier()),
+                batched_identical ? "bit-identical" : "DIFFERENT");
+    if (!batched_identical &&
+        envInt("VARSAW_BENCH_CHECK", 0) != 0) {
+        std::printf("CHECK FAILED: the batched reconstruction must "
+                    "equal the per-basis one bit for bit\n");
+        return 1;
+    }
     return 0;
 }

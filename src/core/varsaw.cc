@@ -106,12 +106,8 @@ VarsawEstimator::collectLocals(const std::vector<double> &params)
 std::vector<Pmf>
 VarsawEstimator::reconstructAll(const std::vector<Pmf> &priors) const
 {
-    std::vector<Pmf> out;
-    out.reserve(priors.size());
-    for (std::size_t b = 0; b < priors.size(); ++b)
-        out.push_back(bayesianReconstruct(
-            priors[b], locals_[b], config_.reconstructionPasses));
-    return out;
+    return bayesianReconstructAll(priors, locals_,
+                                  config_.reconstructionPasses);
 }
 
 std::vector<Pmf>

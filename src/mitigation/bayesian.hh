@@ -42,7 +42,9 @@ struct LocalPmf
  * where M is the current marginal of P on S, followed by
  * renormalization. Outcomes outside the Global's support stay at
  * zero probability (the prior carries the correlation information;
- * without it there is nothing to scale).
+ * without it there is nothing to scale). Panics unless every local
+ * position is a distinct bit of the global (checkBitPositions) and
+ * each local spans at most 30 bits.
  *
  * @param global Prior joint distribution (the Global run).
  * @param locals Subset marginals (the subset runs).
@@ -52,6 +54,24 @@ struct LocalPmf
 Pmf bayesianReconstruct(const Pmf &global,
                         const std::vector<LocalPmf> &locals,
                         int passes = 1);
+
+/**
+ * bayesianReconstruct(globals[b], locals[b], passes) for every
+ * basis b, bit for bit, in one call. The bases go to the SIMD
+ * kernel table (sim/kernels, `ipfGroup`) in groups of up to eight,
+ * in basis order; the AVX-512 tier reconstructs a group's bases in
+ * parallel vector lanes.
+ *
+ * @param globals Each basis's prior.
+ * @param locals  Each basis's subset marginals (one list per
+ *                global).
+ * @param passes  Number of sweeps over each basis's locals.
+ * @return The reconstructed PMFs, aligned with @p globals.
+ */
+std::vector<Pmf>
+bayesianReconstructAll(const std::vector<Pmf> &globals,
+                       const std::vector<std::vector<LocalPmf>> &locals,
+                       int passes = 1);
 
 } // namespace varsaw
 

@@ -8,9 +8,23 @@
  * include this header. Like every TU they compile with
  * `-ffp-contract=off`, which is what makes the written DAGs below
  * the DAGs that actually execute. Everything here is `static` so
- * each TU gets its own copy compiled under its own arch flags; a
- * copy compiled for a wider ISA must never be chosen by the linker
- * for another TU.
+ * each TU gets its own copy compiled under its own arch flags.
+ *
+ * That protects only these helpers. Inline functions and templates
+ * with external linkage that a vector TU does not inline (the
+ * util/bitops.hh helpers, std::complex members, std::min, ...) are
+ * emitted there as weak definitions compiled with that TU's `-m`
+ * flags: at -O0 kernels_avx512.cc.o defines 15 such symbols
+ * (`nm -C | grep -cE ' [WV] '`; none at -O3), among them
+ * std::complex<double>'s constructor as a VEX `vmovsd`,
+ * varsaw::parity and varsaw::insertZeroBit. The linker keeps one
+ * copy of each for the whole program and may pick the AVX-512 one,
+ * so a Debug build may run AVX instructions from scalar code on a
+ * host without them. Code in a vector TU must not add to that
+ * count: no library template or non-static inline function it does
+ * not use already. The fix is a `#pragma GCC target` region after
+ * the includes in place of the per-source `-m` flags (ROADMAP
+ * item 1).
  *
  * THE SPEC: every per-element operation is written once, as the
  * exact sequence of correctly-rounded IEEE-754 operations every

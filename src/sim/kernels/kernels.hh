@@ -2,8 +2,10 @@
  * @file
  * Explicit-SIMD statevector kernels with runtime ISA dispatch.
  *
- * Every hot per-amplitude loop of the Statevector, and the shot
- * draws of sim/sampling.hh, live behind the function-pointer table
+ * Every hot per-amplitude loop of the Statevector, the shot draws
+ * of sim/sampling.hh and the Bayesian reconstruction of
+ * mitigation/bayesian.hh (ipfGroup, up to eight bases per call)
+ * live behind the function-pointer table
  * below, with three implementations compiled into every binary as
  * separate translation units carrying their own arch flags
  * (CMakeLists): a scalar reference (explicit std::fma), an
@@ -48,9 +50,11 @@
 #define VARSAW_SIM_KERNELS_KERNELS_HH
 
 #include <complex>
+#include <cstddef>
 #include <cstdint>
 
 #include "sim/gate.hh"
+#include "util/pmf.hh"
 
 namespace varsaw::kern {
 
@@ -97,6 +101,43 @@ struct DiagTableGate
     int b = 0;
     Amp table[4] = {Amp(1, 0), Amp(1, 0), Amp(1, 0), Amp(1, 0)};
     bool negate = false;
+};
+
+/** Most bases one ipfGroup call takes: one per AVX-512 double lane. */
+constexpr std::size_t kIpfLanes = 8;
+
+/**
+ * One window of a Bayesian reconstruction (mitigation/bayesian.hh):
+ * a local marginal and the global bits it spans, as plain pointers
+ * into the caller's LocalPmf.
+ */
+struct IpfWindow
+{
+    /** Bit i of a local outcome is global bit positions[i]. The
+     * caller checks that they are distinct and below the global's
+     * width (and 64). */
+    const int *positions = nullptr;
+
+    /** Number of positions, at most 30. */
+    int width = 0;
+
+    /** The local's outcome-sorted support. Outcomes at or beyond
+     * 2^width are ignored; an empty local skips the window. */
+    const Pmf::Entry *local = nullptr;
+    std::size_t localCount = 0;
+};
+
+/** One basis of an ipfGroup call, reconstructed in place. */
+struct IpfBasis
+{
+    /** The prior's outcome-sorted support on entry, the normalized
+     * reconstruction on return; outcomes are never written. */
+    Pmf::Entry *entries = nullptr;
+    std::size_t count = 0;
+
+    /** The windows of one pass, in the order they apply. */
+    const IpfWindow *windows = nullptr;
+    std::size_t windowCount = 0;
 };
 
 /**
@@ -186,6 +227,20 @@ struct KernelTable
                        std::uint64_t k, const std::uint64_t *threshold,
                        const std::uint64_t *alias,
                        std::uint64_t *tally);
+
+    /**
+     * Bayesian reconstruction (iterative proportional fitting) of
+     * @p count <= kIpfLanes independent bases, each in place:
+     * @p passes sweeps over its windows, then the final normalize.
+     * The scalar body is the two-pass window update of
+     * mitigation/bayesian.hh, one basis after another. A basis
+     * keeps its own products and sums, each in its entry order in
+     * one accumulator, so every tier is bit-identical to it however
+     * it places the bases: the AVX-512 tier runs a group's bases in
+     * parallel lanes.
+     */
+    void (*ipfGroup)(const IpfBasis *bases, std::size_t count,
+                     int passes);
 };
 
 /**

@@ -483,9 +483,10 @@ avx2Table()
         t.probChunk = &probChunkAvx2;
         t.innerChunk = &innerChunkAvx2;
         t.expPauliChunk = &expPauliChunkAvx2;
-        // No AVX2 body for the shot draws: this tier runs the
-        // scalar reference.
+        // No AVX2 body for the shot draws or the reconstruction:
+        // this tier runs the scalar reference.
         t.aliasDraws = scalarTable().aliasDraws;
+        t.ipfGroup = scalarTable().ipfGroup;
         return t;
     }();
     return table;

@@ -36,6 +36,8 @@
 #else
 #include <immintrin.h>
 #endif
+#include <cstring>
+#include <new>
 #include <utility>
 
 namespace varsaw::kern::detail {
@@ -643,6 +645,289 @@ aliasDrawsAvx512(std::uint64_t state[4], std::uint64_t shots,
     }
 }
 
+// --- Bayesian reconstruction lanes -------------------------------
+
+/**
+ * The lane body's scratch: entry i of lane l at [i * kIpfLanes + l],
+ * outcomes and probabilities in two 64-byte aligned arrays. One per
+ * thread, kept across calls and grown to the widest group seen
+ * (zeroed when it grows, so no lane ever reads an indeterminate
+ * value). It is plain storage, not a std::vector: a library template
+ * used here would be instantiated under this TU's arch flags.
+ */
+class IpfScratch
+{
+  public:
+    IpfScratch() = default;
+    IpfScratch(const IpfScratch &) = delete;
+    IpfScratch &operator=(const IpfScratch &) = delete;
+    ~IpfScratch() { ::operator delete(block_, kAlign); }
+
+    /** Room for @p entries entries in every lane. */
+    void
+    reserve(std::size_t entries)
+    {
+        if (entries <= capacity_)
+            return;
+        ::operator delete(block_, kAlign);
+        block_ = nullptr;
+        capacity_ = 0;
+        const std::size_t bytes = 2 * entries * kIpfLanes * 8;
+        block_ = ::operator new(bytes, kAlign);
+        std::memset(block_, 0, bytes);
+        capacity_ = entries;
+    }
+
+    std::uint64_t *
+    outcomes() const
+    {
+        return static_cast<std::uint64_t *>(block_);
+    }
+
+    double *
+    probs() const
+    {
+        return reinterpret_cast<double *>(outcomes() +
+                                          capacity_ * kIpfLanes);
+    }
+
+  private:
+    static constexpr std::align_val_t kAlign{64};
+
+    void *block_ = nullptr;
+    std::size_t capacity_ = 0;
+};
+
+IpfScratch &
+ipfScratch()
+{
+    thread_local IpfScratch scratch;
+    return scratch;
+}
+
+/** The window @p basis applies next, from @p cursor on, skipping
+ * empty locals and wrapping into the next pass. */
+const IpfWindow &
+nextIpfWindow(const IpfBasis &basis, std::size_t &cursor)
+{
+    for (;;) {
+        const IpfWindow &window = basis.windows[cursor];
+        cursor = cursor + 1 == basis.windowCount ? 0 : cursor + 1;
+        if (window.localCount != 0)
+            return window;
+    }
+}
+
+/** normalizer() of the scalar body in every lane: 1 / total, or 1
+ * where total <= 0. NLE_UQ is !(total <= 0), so a NaN divides. */
+inline __m512d
+ipfNormalizer(__m512d total)
+{
+    const __m512d one = _mm512_set1_pd(1.0);
+    const __mmask8 divide =
+        _mm512_cmp_pd_mask(total, _mm512_setzero_pd(), _CMP_NLE_UQ);
+    return _mm512_mask_div_pd(one, divide, one, total);
+}
+
+/**
+ * ipfGroup for 2-8 bases whose windows are all at most 2 bits wide:
+ * lane l runs basis l. The bases are packed into lane-interleaved
+ * scratch; each window step then runs both passes for every lane at
+ * once, lane l on its own next window. A window of at most 2 bits
+ * has at most 4 buckets, so each lane keeps its bucket marginals in
+ * four vector accumulators and its running total in a fifth; the
+ * bucket of an entry comes from testing its outcome against the
+ * lane's two position bits (a missing bit tests 0). Every add and
+ * multiply is masked to the lanes it belongs to: entries past a
+ * lane's support (whatever the scratch holds there) and lanes whose
+ * windows are all done are never read into a sum or scaled, and an
+ * idle lane keeps its last total for the final normalize. So each
+ * lane performs exactly the scalar body's operations on its basis,
+ * in its entry order, and the result is bit-identical.
+ */
+void
+ipfLanes(const IpfBasis *bases, std::size_t count, int passes)
+{
+    std::size_t size[kIpfLanes] = {};
+    std::uint64_t steps[kIpfLanes] = {};
+    std::size_t cursor[kIpfLanes] = {};
+    std::size_t widest = 0;
+    std::uint64_t most_steps = 0;
+    for (std::size_t l = 0; l < count; ++l) {
+        size[l] = bases[l].count;
+        widest = size[l] > widest ? size[l] : widest;
+        std::uint64_t live = 0;
+        for (std::size_t w = 0; w < bases[l].windowCount; ++w)
+            live += bases[l].windows[w].localCount != 0;
+        steps[l] = live * static_cast<std::uint64_t>(passes);
+        most_steps = steps[l] > most_steps ? steps[l] : most_steps;
+    }
+
+    IpfScratch &scratch = ipfScratch();
+    scratch.reserve(widest);
+    std::uint64_t *const outcomes = scratch.outcomes();
+    double *const probs = scratch.probs();
+    for (std::size_t l = 0; l < count; ++l) {
+        const Pmf::Entry *e = bases[l].entries;
+        for (std::size_t i = 0; i < size[l]; ++i) {
+            outcomes[i * kIpfLanes + l] = e[i].outcome;
+            probs[i * kIpfLanes + l] = e[i].p;
+        }
+    }
+
+    // Entry ranges [bound[g], bound[g + 1]) over which the set of
+    // lanes that still have entries, valid[g], is constant.
+    std::size_t bound[kIpfLanes + 1];
+    __mmask8 valid[kIpfLanes];
+    std::size_t ranges = 0;
+    for (std::size_t lo = 0; lo < widest;) {
+        std::size_t hi = widest;
+        __mmask8 lanes = 0;
+        for (std::size_t l = 0; l < count; ++l) {
+            if (size[l] <= lo)
+                continue;
+            lanes = static_cast<__mmask8>(lanes | (1u << l));
+            hi = size[l] < hi ? size[l] : hi;
+        }
+        bound[ranges] = lo;
+        valid[ranges++] = lanes;
+        lo = hi;
+    }
+    bound[ranges] = widest;
+
+    const __m512d zero = _mm512_setzero_pd();
+    __m512d total = zero;
+    for (std::size_t g = 0; g < ranges; ++g)
+        for (std::size_t i = bound[g]; i < bound[g + 1]; ++i)
+            total = _mm512_mask_add_pd(
+                total, valid[g], total,
+                _mm512_load_pd(probs + i * kIpfLanes));
+
+    for (std::uint64_t step = 0; step < most_steps; ++step) {
+        // Per lane: its window's two position bits (0 where the
+        // window is narrower) and its local's probabilities.
+        __mmask8 active = 0;
+        alignas(64) std::uint64_t bit0[kIpfLanes] = {};
+        alignas(64) std::uint64_t bit1[kIpfLanes] = {};
+        alignas(64) double local[4][kIpfLanes] = {};
+        for (std::size_t l = 0; l < count; ++l) {
+            if (step >= steps[l])
+                continue;
+            active = static_cast<__mmask8>(active | (1u << l));
+            const IpfWindow &window =
+                nextIpfWindow(bases[l], cursor[l]);
+            if (window.width >= 1)
+                bit0[l] = 1ull << window.positions[0];
+            if (window.width >= 2)
+                bit1[l] = 1ull << window.positions[1];
+            const std::uint64_t n = 1ull << window.width;
+            for (std::size_t k = 0; k < window.localCount; ++k)
+                if (window.local[k].outcome < n)
+                    local[window.local[k].outcome][l] =
+                        window.local[k].p;
+        }
+        const __m512i m0 = _mm512_load_si512(bit0);
+        const __m512i m1 = _mm512_load_si512(bit1);
+        const __m512i m01 = _mm512_or_si512(m0, m1);
+
+        // Pass one: the previous step's normalize, then this
+        // window's marginal, one accumulator per bucket.
+        const __m512d inv = ipfNormalizer(total);
+        __m512d marg0 = zero;
+        __m512d marg1 = zero;
+        __m512d marg2 = zero;
+        __m512d marg3 = zero;
+        for (std::size_t g = 0; g < ranges; ++g) {
+            const __mmask8 live = _kand_mask8(valid[g], active);
+            if (!live)
+                continue;
+            for (std::size_t i = bound[g]; i < bound[g + 1]; ++i) {
+                double *pi = probs + i * kIpfLanes;
+                const __m512i o =
+                    _mm512_load_si512(outcomes + i * kIpfLanes);
+                const __m512d prior = _mm512_load_pd(pi);
+                const __m512d p =
+                    _mm512_mask_mul_pd(prior, live, prior, inv);
+                _mm512_store_pd(pi, p);
+                const __mmask8 b0 =
+                    _mm512_mask_test_epi64_mask(live, o, m0);
+                const __mmask8 b1 =
+                    _mm512_mask_test_epi64_mask(live, o, m1);
+                const __mmask8 none =
+                    _mm512_mask_testn_epi64_mask(live, o, m01);
+                marg0 = _mm512_mask_add_pd(marg0, none, marg0, p);
+                marg1 = _mm512_mask_add_pd(
+                    marg1, _kandn_mask8(b1, b0), marg1, p);
+                marg2 = _mm512_mask_add_pd(
+                    marg2, _kandn_mask8(b0, b1), marg2, p);
+                marg3 = _mm512_mask_add_pd(
+                    marg3, _kand_mask8(b0, b1), marg3, p);
+            }
+        }
+
+        // L(s)/M(s), or 1 where M(s) <= 0 (a NaN M divides).
+        const __m512d one = _mm512_set1_pd(1.0);
+        const auto ratioOf = [&](__m512d marg, const double *l) {
+            return _mm512_mask_div_pd(
+                one, _mm512_cmp_pd_mask(marg, zero, _CMP_NLE_UQ),
+                _mm512_load_pd(l), marg);
+        };
+        const __m512d ratio0 = ratioOf(marg0, local[0]);
+        const __m512d ratio1 = ratioOf(marg1, local[1]);
+        const __m512d ratio2 = ratioOf(marg2, local[2]);
+        const __m512d ratio3 = ratioOf(marg3, local[3]);
+
+        // Pass two: scale by the bucket's ratio and sum the total.
+        __m512d next = zero;
+        for (std::size_t g = 0; g < ranges; ++g) {
+            const __mmask8 live = _kand_mask8(valid[g], active);
+            if (!live)
+                continue;
+            for (std::size_t i = bound[g]; i < bound[g + 1]; ++i) {
+                double *pi = probs + i * kIpfLanes;
+                const __m512i o =
+                    _mm512_load_si512(outcomes + i * kIpfLanes);
+                const __mmask8 b0 = _mm512_test_epi64_mask(o, m0);
+                const __mmask8 b1 = _mm512_test_epi64_mask(o, m1);
+                const __m512d ratio = _mm512_mask_blend_pd(
+                    b1, _mm512_mask_blend_pd(b0, ratio0, ratio1),
+                    _mm512_mask_blend_pd(b0, ratio2, ratio3));
+                const __m512d prior = _mm512_load_pd(pi);
+                const __m512d p =
+                    _mm512_mask_mul_pd(prior, live, prior, ratio);
+                _mm512_store_pd(pi, p);
+                next = _mm512_mask_add_pd(next, live, next, p);
+            }
+        }
+        total = _mm512_mask_mov_pd(total, active, next);
+    }
+
+    // The final normalize, written straight into each basis.
+    alignas(64) double inv[kIpfLanes];
+    _mm512_store_pd(inv, ipfNormalizer(total));
+    for (std::size_t l = 0; l < count; ++l) {
+        Pmf::Entry *e = bases[l].entries;
+        for (std::size_t i = 0; i < size[l]; ++i)
+            e[i].p = probs[i * kIpfLanes + l] * inv[l];
+    }
+}
+
+/** The lanes take groups of two or more bases whose windows are all
+ * at most 2 bits wide (the paper's optimal subset size is 2); the
+ * scalar body takes the rest. */
+void
+ipfGroupAvx512(const IpfBasis *bases, std::size_t count, int passes)
+{
+    bool lanes = count >= 2;
+    for (std::size_t b = 0; lanes && b < count; ++b)
+        for (std::size_t w = 0; w < bases[b].windowCount; ++w)
+            lanes = lanes && bases[b].windows[w].width <= 2;
+    if (lanes)
+        ipfLanes(bases, count, passes);
+    else
+        scalarTable().ipfGroup(bases, count, passes);
+}
+
 } // namespace
 
 const KernelTable &
@@ -661,6 +946,7 @@ avx512Table()
         t.innerChunk = &innerChunkAvx512;
         t.expPauliChunk = &expPauliChunkAvx512;
         t.aliasDraws = &aliasDrawsAvx512;
+        t.ipfGroup = &ipfGroupAvx512;
         return t;
     }();
     return table;

@@ -11,7 +11,9 @@
 
 #include "sim/kernels/kernel_spec.hh"
 
+#include <array>
 #include <utility>
+#include <vector>
 
 namespace varsaw::kern::detail {
 
@@ -140,6 +142,142 @@ aliasDrawsScalar(std::uint64_t state[4], std::uint64_t shots,
         state[i] = s[i];
 }
 
+// --- Bayesian reconstruction ---------------------------------------
+
+/** Width parameter of the one kernel instantiation sized at run time. */
+constexpr int kRuntimeWidth = -1;
+
+/** The multiplier Pmf::normalize() applies for a total mass. */
+double
+normalizer(double total)
+{
+    return total <= 0.0 ? 1.0 : 1.0 / total;
+}
+
+/**
+ * One window's update over @p count entries, in two streaming passes.
+ *
+ * On entry the entries still await the previous step's normalize by
+ * @p total. Pass one applies it and accumulates the current marginal
+ * M over this window; pass two scales each entry by L(s)/M(s) and
+ * sums the new total, which the next step (or the final normalize)
+ * divides out. Every product and every sum runs in entry order, as
+ * in the normalize/marginal/scale/totalMass sequence it replaces, so
+ * the results are bit-identical to it. Multiplying by 1 where
+ * normalize() would return early leaves each value unchanged.
+ *
+ * @p K is the window width, so the gather unrolls and the scratch
+ * (2^K marginals and ratios) sits on the stack; kRuntimeWidth sizes
+ * the scratch from the window instead, on the heap.
+ */
+template <int K>
+double
+windowKernel(Pmf::Entry *entries, std::size_t count, double total,
+             const IpfWindow &window)
+{
+    constexpr bool kFixed = K != kRuntimeWidth;
+    const int width = kFixed ? K : window.width;
+    const std::size_t n = std::size_t{1} << width;
+
+    std::array<double, kFixed ? std::size_t{2} << K : 0> stack{};
+    std::vector<double> wide;
+    std::array<int, kFixed ? K : 0> fixed_positions{};
+    double *marg = stack.data();
+    const int *positions = window.positions;
+    if constexpr (kFixed) {
+        std::copy_n(window.positions, K, fixed_positions.begin());
+        positions = fixed_positions.data();
+    } else {
+        wide.assign(2 * n, 0.0);
+        marg = wide.data();
+    }
+    double *ratio = marg + n;
+
+    const auto gather = [&](std::uint64_t outcome) {
+        std::uint64_t out = 0;
+        for (int i = 0; i < width; ++i)
+            out |= ((outcome >> positions[i]) & 1ull) << i;
+        return out;
+    };
+
+    const double inv = normalizer(total);
+    for (std::size_t i = 0; i < count; ++i) {
+        Pmf::Entry &e = entries[i];
+        e.p *= inv;
+        marg[gather(e.outcome)] += e.p;
+    }
+
+    // Outcomes at or beyond 2^width cannot come from this window.
+    for (std::size_t i = 0; i < window.localCount; ++i)
+        if (window.local[i].outcome < n)
+            ratio[window.local[i].outcome] = window.local[i].p;
+    // An outcome with no mass on this subset before the update is
+    // left untouched (its joint entries are zero anyway).
+    for (std::size_t s = 0; s < n; ++s)
+        ratio[s] = marg[s] <= 0.0 ? 1.0 : ratio[s] / marg[s];
+
+    double next_total = 0.0;
+    for (std::size_t i = 0; i < count; ++i) {
+        Pmf::Entry &e = entries[i];
+        e.p *= ratio[gather(e.outcome)];
+        next_total += e.p;
+    }
+    return next_total;
+}
+
+/** windowKernel() at the window's width: on the stack up to width 5
+ * (the paper's window sizes are 2-5), sized at run time beyond. */
+double
+updateWindow(Pmf::Entry *entries, std::size_t count, double total,
+             const IpfWindow &window)
+{
+    switch (window.width) {
+      case 0:
+        return windowKernel<0>(entries, count, total, window);
+      case 1:
+        return windowKernel<1>(entries, count, total, window);
+      case 2:
+        return windowKernel<2>(entries, count, total, window);
+      case 3:
+        return windowKernel<3>(entries, count, total, window);
+      case 4:
+        return windowKernel<4>(entries, count, total, window);
+      case 5:
+        return windowKernel<5>(entries, count, total, window);
+      default:
+        return windowKernel<kRuntimeWidth>(entries, count, total,
+                                           window);
+    }
+}
+
+/** One basis: the initial total, every non-empty window of every
+ * pass in order, the final normalize. */
+void
+ipfBasisScalar(const IpfBasis &basis, int passes)
+{
+    // The initial normalize's sum; each update divides out the total
+    // it was handed and returns the next one.
+    double total = 0.0;
+    for (std::size_t i = 0; i < basis.count; ++i)
+        total += basis.entries[i].p;
+    for (int pass = 0; pass < passes; ++pass)
+        for (std::size_t w = 0; w < basis.windowCount; ++w)
+            if (basis.windows[w].localCount != 0)
+                total = updateWindow(basis.entries, basis.count, total,
+                                     basis.windows[w]);
+
+    const double inv = normalizer(total);
+    for (std::size_t i = 0; i < basis.count; ++i)
+        basis.entries[i].p *= inv;
+}
+
+void
+ipfGroupScalar(const IpfBasis *bases, std::size_t count, int passes)
+{
+    for (std::size_t b = 0; b < count; ++b)
+        ipfBasisScalar(bases[b], passes);
+}
+
 } // namespace
 
 const KernelTable &
@@ -158,6 +296,7 @@ scalarTable()
         t.innerChunk = &innerChunkScalar;
         t.expPauliChunk = &expPauliChunkScalar;
         t.aliasDraws = &aliasDrawsScalar;
+        t.ipfGroup = &ipfGroupScalar;
         return t;
     }();
     return table;

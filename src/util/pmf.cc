@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <ostream>
+#include <string>
 #include <utility>
 
 #include "util/bitops.hh"
@@ -133,9 +134,28 @@ Pmf::toDense() const
     return dense;
 }
 
+void
+checkBitPositions(const std::vector<int> &positions, int num_bits,
+                  const char *who)
+{
+    std::uint64_t seen = 0;
+    for (int pos : positions) {
+        if (pos < 0 || pos >= num_bits || pos >= 64)
+            panic(std::string(who) + ": bit position " +
+                  std::to_string(pos) + " outside [0, " +
+                  std::to_string(num_bits) + ")");
+        const std::uint64_t bit = std::uint64_t{1} << pos;
+        if (seen & bit)
+            panic(std::string(who) + ": bit position " +
+                  std::to_string(pos) + " repeated");
+        seen |= bit;
+    }
+}
+
 Pmf
 Pmf::marginal(const std::vector<int> &positions) const
 {
+    checkBitPositions(positions, numBits_, "Pmf::marginal");
     Pmf out(static_cast<int>(positions.size()));
     std::vector<Entry> &gathered = out.entries_;
     gathered.reserve(entries_.size());

@@ -95,6 +95,8 @@ class Pmf
      *
      * @param positions Bit positions within this PMF; position
      *                  positions[i] becomes bit i of the marginal.
+     *                  Panics unless checkBitPositions() accepts
+     *                  them for numBits().
      */
     Pmf marginal(const std::vector<int> &positions) const;
 
@@ -132,6 +134,17 @@ class Pmf
     int numBits_ = 0;
     std::vector<Entry> entries_;
 };
+
+/**
+ * Panic, naming @p who, unless every entry of @p positions is in
+ * [0, num_bits), below 64, and appears once: the bit positions an
+ * outcome may be shifted by when a marginal or a reconstruction
+ * window gathers them. A shift by a negative count or by 64 or more
+ * is undefined, and a vector shift returns 0 where a scalar one
+ * need not, so such a position would also let SIMD tiers disagree.
+ */
+void checkBitPositions(const std::vector<int> &positions, int num_bits,
+                       const char *who);
 
 /** Print as `Pmf(<bits> bits){outcome: p, ...}` at round-trip
  *  precision (test diagnostics). */

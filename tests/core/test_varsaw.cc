@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "chem/exact_solver.hh"
 #include "chem/molecules.hh"
 #include "chem/spin_models.hh"
 #include "core/varsaw.hh"
+#include "sim/kernels/kernels.hh"
 #include "vqa/ansatz.hh"
 
 namespace varsaw {
@@ -278,6 +280,58 @@ TEST(VarsawEstimator, NoSparsityReportedEnergyStaysPhysical)
     }
     // Allow a small shot-noise margin below the exact ground energy.
     EXPECT_GT(worst, floor - 0.15);
+}
+
+TEST(VarsawEstimator, TierInvariantAcrossWindowWidths)
+{
+    // The same energy bits on the scalar tier and on the widest one
+    // the host has, for subset sizes whose windows the AVX-512 lanes
+    // take (2) and hand to the scalar body (3, 5), at 1 and 3
+    // reconstruction passes, over fresh-Global and stale-chain
+    // evaluations (Adaptive: Globals on iteration 0, 2, ...).
+    const Hamiltonian h = molecule("CH4-6");
+    EfficientSU2 ansatz(AnsatzConfig{6, 2, Entanglement::Full});
+    const DeviceModel device = DeviceModel::uniform(6, 0.03, 0.06, 0.05);
+    const kern::SimdTier entry_tier = kern::activeSimdTier();
+    for (const int subset : {2, 3, 5}) {
+        for (const int passes : {1, 3}) {
+            VarsawConfig config;
+            config.subsetSize = subset;
+            config.reconstructionPasses = passes;
+            config.subsetShots = 256;
+            config.globalShots = 256;
+            const auto energies = [&](kern::SimdTier tier) {
+                kern::setSimdTier(tier);
+                NoisyExecutor exec(device,
+                                   GateNoiseMode::AnalyticDepolarizing,
+                                   13);
+                VarsawEstimator est(h, ansatz.circuit(), exec, config);
+                std::vector<double> params = ansatz.initialParameters(21);
+                std::vector<double> out;
+                for (int t = 0; t < 8; ++t) {
+                    out.push_back(est.estimate(params));
+                    for (double &p : params)
+                        p += 0.01;
+                }
+                EXPECT_GE(est.scheduler().globalsRun(), 2u);
+                EXPECT_LT(est.scheduler().globalsRun(), 8u);
+                return out;
+            };
+            const std::vector<double> scalar =
+                energies(kern::SimdTier::Scalar);
+            const std::vector<double> widest =
+                energies(kern::maxSupportedSimdTier());
+            ASSERT_EQ(scalar.size(), widest.size());
+            for (std::size_t t = 0; t < scalar.size(); ++t)
+                EXPECT_EQ(std::memcmp(&scalar[t], &widest[t],
+                                      sizeof(double)),
+                          0)
+                    << "subset " << subset << " passes " << passes
+                    << " evaluation " << t << ": " << scalar[t]
+                    << " vs " << widest[t];
+        }
+    }
+    kern::setSimdTier(entry_tier);
 }
 
 TEST(VarsawEstimator, MbmStackingKeepsEnergyFinite)

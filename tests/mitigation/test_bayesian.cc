@@ -318,6 +318,65 @@ TEST(Bayesian, TwoPassKernelMatchesReferenceOnDegenerateInputs)
     }
 }
 
+TEST(Bayesian, BatchedMatchesFourPassReference)
+{
+    // bayesianReconstructAll over 61 bases (seven full groups of
+    // eight and one of five) equals the four-pass reference basis by
+    // basis. Most bases have only 0-2 bit windows, so their groups
+    // take the AVX-512 lanes where the host has them; every fourth
+    // basis also has wider ones, which sends its group to the scalar
+    // body. Supports, window counts and empty locals vary per basis.
+    constexpr int kBits = 12;
+    Rng rng(4242);
+    for (int passes = 1; passes <= 3; ++passes) {
+        std::vector<Pmf> globals;
+        std::vector<std::vector<LocalPmf>> locals;
+        for (int b = 0; b < 61; ++b) {
+            globals.push_back(randomGlobal(
+                rng, kBits,
+                static_cast<int>(rng.uniformInt(400))));
+            std::vector<LocalPmf> own;
+            const int windows = static_cast<int>(rng.uniformInt(9));
+            for (int w = 0; w < windows; ++w) {
+                const int width = b % 4 == 3 && w % 2 == 0
+                    ? 3 + static_cast<int>(rng.uniformInt(3))
+                    : static_cast<int>(rng.uniformInt(3));
+                own.push_back(randomLocal(rng, kBits, width));
+                if (rng.bernoulli(0.1))
+                    own.back().pmf = Pmf(width);
+            }
+            locals.push_back(std::move(own));
+        }
+        const std::vector<Pmf> batched =
+            bayesianReconstructAll(globals, locals, passes);
+        ASSERT_EQ(batched.size(), globals.size());
+        for (std::size_t b = 0; b < globals.size(); ++b)
+            EXPECT_EQ(batched[b],
+                      fourPassReconstruct(globals[b], locals[b], passes))
+                << "basis " << b << " passes " << passes;
+    }
+    EXPECT_TRUE(bayesianReconstructAll({}, {}, 1).empty());
+}
+
+TEST(BayesianDeathTest, RejectsPositionsOutsideTheGlobal)
+{
+    // A shift by a negative count or by 64 or more is undefined, so
+    // every local position must be a distinct bit of the global.
+    const Pmf global = noisyGhz(); // 3 bits
+    for (const std::vector<int> &bad :
+         {std::vector<int>{-1}, std::vector<int>{0, 3},
+          std::vector<int>{64}, std::vector<int>{1, 1}}) {
+        LocalPmf local = idealLocal(bad);
+        EXPECT_DEATH(bayesianReconstruct(global, {local}, 1),
+                     "bayesianReconstruct: bit position");
+        EXPECT_DEATH(bayesianReconstructAll({global, global},
+                                            {{}, {local}}, 1),
+                     "bayesianReconstruct: bit position");
+    }
+    EXPECT_DEATH(bayesianReconstructAll({global}, {}, 1),
+                 "one locals list per global");
+}
+
 /** Property: reconstruction never produces negative probabilities. */
 class BayesianPositivity : public ::testing::TestWithParam<int>
 {

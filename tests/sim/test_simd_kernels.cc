@@ -27,6 +27,8 @@
 #include <complex>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -35,6 +37,7 @@
 #include "util/aligned.hh"
 #include "util/bitops.hh"
 #include "util/parallel.hh"
+#include "util/pmf.hh"
 #include "util/rng.hh"
 
 namespace varsaw {
@@ -642,6 +645,155 @@ TEST(SimdKernels, ScalarAliasDrawsMatchRngLoop)
                 EXPECT_TRUE(
                     std::equal(state.begin(), state.end(), got.state))
                     << where;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------
+// Bayesian reconstruction (ipfGroup).
+// ---------------------------------------------------------------
+
+/** One basis of an ipfGroup case, owning what its IpfBasis points
+ * into. */
+struct IpfCaseBasis
+{
+    std::vector<Pmf::Entry> prior;
+    std::vector<std::vector<int>> positions;
+    std::vector<std::vector<Pmf::Entry>> locals;
+};
+
+constexpr int kIpfBits = 12;
+
+/** An outcome-sorted support of @p size distinct outcomes below
+ * 2^kIpfBits, about a tenth of them at probability zero (some -0.0),
+ * with probabilities spread over a few binades. */
+std::vector<Pmf::Entry>
+ipfSupport(Rng &rng, std::size_t size)
+{
+    std::vector<std::uint64_t> outcomes(std::size_t{1} << kIpfBits);
+    std::iota(outcomes.begin(), outcomes.end(), 0);
+    for (std::size_t i = 0; i < size; ++i)
+        std::swap(outcomes[i],
+                  outcomes[i + rng.uniformInt(outcomes.size() - i)]);
+    outcomes.resize(size);
+    std::sort(outcomes.begin(), outcomes.end());
+    std::vector<Pmf::Entry> support;
+    for (const std::uint64_t x : outcomes) {
+        double p = rng.uniform() * static_cast<double>(
+                                       1 + rng.uniformInt(64));
+        if (rng.bernoulli(0.1))
+            p = rng.bernoulli(0.5) ? 0.0 : -0.0;
+        support.push_back({x, p});
+    }
+    return support;
+}
+
+/**
+ * A basis with a random support of 0-600 entries and 0-9 windows
+ * drawn from @p widths, each over distinct random bits below
+ * kIpfBits. Some locals are empty, some miss window outcomes, some
+ * carry an outcome at or beyond 2^width (which the update ignores).
+ */
+IpfCaseBasis
+ipfCaseBasis(Rng &rng, const std::vector<int> &widths)
+{
+    IpfCaseBasis basis;
+    basis.prior = ipfSupport(rng, rng.uniformInt(601));
+    const std::size_t windows = rng.uniformInt(10);
+    for (std::size_t w = 0; w < windows; ++w) {
+        const int width = widths[rng.uniformInt(widths.size())];
+        std::vector<int> bits(kIpfBits);
+        std::iota(bits.begin(), bits.end(), 0);
+        for (int i = 0; i < width; ++i)
+            std::swap(bits[i], bits[i + rng.uniformInt(kIpfBits - i)]);
+        bits.resize(width);
+        basis.positions.push_back(bits);
+
+        std::vector<Pmf::Entry> local;
+        if (!rng.bernoulli(0.15)) {
+            const std::uint64_t n = std::uint64_t{1} << width;
+            for (std::uint64_t x = 0; x < n; ++x)
+                if (rng.bernoulli(0.8))
+                    local.push_back({x, rng.uniform()});
+            if (rng.bernoulli(0.3))
+                local.push_back({n + rng.uniformInt(3), rng.uniform()});
+        }
+        basis.locals.push_back(local);
+    }
+    return basis;
+}
+
+/** ipfGroup of @p table over copies of @p group's priors; returns
+ * the reconstructed entries of every basis. */
+std::vector<std::vector<Pmf::Entry>>
+runIpf(const kern::KernelTable &table,
+       const std::vector<IpfCaseBasis> &group, int passes)
+{
+    std::vector<std::vector<Pmf::Entry>> entries;
+    std::vector<std::vector<kern::IpfWindow>> windows(group.size());
+    std::vector<kern::IpfBasis> bases;
+    for (const IpfCaseBasis &b : group)
+        entries.push_back(b.prior);
+    for (std::size_t i = 0; i < group.size(); ++i) {
+        for (std::size_t w = 0; w < group[i].locals.size(); ++w)
+            windows[i].push_back(
+                {group[i].positions[w].data(),
+                 static_cast<int>(group[i].positions[w].size()),
+                 group[i].locals[w].data(), group[i].locals[w].size()});
+        bases.push_back({entries[i].data(), entries[i].size(),
+                         windows[i].data(), windows[i].size()});
+    }
+    table.ipfGroup(bases.data(), bases.size(), passes);
+    return entries;
+}
+
+/**
+ * Every tier's ipfGroup equals the scalar body bit for bit (memcmp,
+ * so ±0.0 and NaN payloads count): groups of 1-8 bases with unequal
+ * supports (0-600 entries) and unequal window counts, so lanes run
+ * past each other's ends and idle while others still have windows;
+ * empty locals, local outcomes beyond 2^width, 1-3 passes. Three
+ * groups in four keep every window at most 2 bits wide (0-2),
+ * which the AVX-512 lanes take; the rest mix in widths 3-5 and 9,
+ * which take the scalar body. The groups run back to back on one
+ * thread, so the lane scratch holds the previous group's values
+ * past each lane's support. One group has a NaN prior entry, so the
+ * `total <= 0` and `M <= 0` selects see a NaN.
+ */
+TEST(SimdKernels, IpfBitIdenticalAcrossTiers)
+{
+    const kern::KernelTable &scalar =
+        kern::kernelsFor(SimdTier::Scalar);
+    const std::vector<int> narrow = {0, 1, 2, 2, 2};
+    const std::vector<int> mixed = {0, 1, 2, 3, 4, 5, 9};
+    Rng rng(2306);
+    for (int trial = 0; trial < 240; ++trial) {
+        const std::size_t count = 1 + rng.uniformInt(kern::kIpfLanes);
+        const bool lanes = trial % 4 != 3;
+        std::vector<IpfCaseBasis> group;
+        for (std::size_t b = 0; b < count; ++b)
+            group.push_back(ipfCaseBasis(rng, lanes ? narrow : mixed));
+        for (IpfCaseBasis &b : group)
+            if (trial == 17 && !b.prior.empty()) {
+                b.prior[b.prior.size() / 2].p =
+                    std::numeric_limits<double>::quiet_NaN();
+                break;
+            }
+        const int passes = 1 + trial % 3;
+        const auto ref = runIpf(scalar, group, passes);
+        for (const SimdTier tier : supportedTiers()) {
+            const auto got =
+                runIpf(kern::kernelsFor(tier), group, passes);
+            for (std::size_t b = 0; b < count; ++b) {
+                ASSERT_EQ(got[b].size(), ref[b].size());
+                EXPECT_TRUE(got[b].empty() ||
+                            std::memcmp(got[b].data(), ref[b].data(),
+                                        got[b].size() *
+                                            sizeof(Pmf::Entry)) == 0)
+                    << kern::simdTierName(tier) << " trial " << trial
+                    << " basis " << b << " of " << count << " passes "
+                    << passes;
             }
         }
     }

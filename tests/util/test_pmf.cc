@@ -173,6 +173,16 @@ TEST(PmfDeathTest, FromSortedEntriesRejectsUnsortedOrDuplicate)
                  "ascend");
 }
 
+TEST(PmfDeathTest, MarginalRejectsPositionsOutsideThePmf)
+{
+    const Pmf bell = makeBell(); // 2 bits
+    EXPECT_DEATH(bell.marginal({-1}), "Pmf::marginal: bit position");
+    EXPECT_DEATH(bell.marginal({0, 2}), "Pmf::marginal: bit position");
+    EXPECT_DEATH(bell.marginal({64}), "Pmf::marginal: bit position");
+    EXPECT_DEATH(bell.marginal({1, 1}), "repeated");
+    EXPECT_EQ(bell.marginal({}).supportSize(), 1u);
+}
+
 TEST(Pmf, ArgmaxFindsMode)
 {
     Pmf pmf(3);
